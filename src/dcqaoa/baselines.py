@@ -57,9 +57,8 @@ def greedy_local_search(g: Graph, seed: int, restarts: int = 10) -> BaselineResu
         raise ValueError("restarts must be >= 1")
     start = time.perf_counter()
     n = g.n
-    adj_pos = {
-        g.index[v]: [g.index[w] for w in nbrs] for v, nbrs in g.adjacency.items()
-    }
+    pu, pv = g.edge_positions.T
+    degree = np.bincount(g.edge_positions.ravel(), minlength=n)
     best_bits: np.ndarray | None = None
     best_cut = -1
     evaluations = 0
@@ -69,23 +68,18 @@ def greedy_local_search(g: Graph, seed: int, restarts: int = 10) -> BaselineResu
         bits[0] = 0
         cut = int(_cuts_of_bit_rows(g, bits.reshape(1, -1))[0])
         evaluations += 1
-        improved = True
-        while improved:
-            improved = False
-            best_gain = 0
-            best_node = -1
-            for v in range(n):
-                same = sum(1 for w in adj_pos.get(v, ()) if bits[w] == bits[v])
-                diff = len(adj_pos.get(v, ())) - same
-                gain = same - diff
-                evaluations += 1
-                if gain > best_gain:
-                    best_gain = gain
-                    best_node = v
-            if best_node >= 0:
-                bits[best_node] ^= 1
-                cut += best_gain
-                improved = True
+        while True:
+            # flipping v cuts its same-side edges and uncuts its cut ones
+            same = bits[pu] == bits[pv]
+            gains = 2 * (
+                np.bincount(pu[same], minlength=n) + np.bincount(pv[same], minlength=n)
+            ) - degree
+            evaluations += n
+            best_node = int(np.argmax(gains))
+            if gains[best_node] <= 0:
+                break
+            bits[best_node] ^= 1
+            cut += int(gains[best_node])
         if cut > best_cut:
             best_cut = cut
             best_bits = bits.copy()

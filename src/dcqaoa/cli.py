@@ -1,7 +1,8 @@
 """Benchmark command line: gen | solve | sweep | compare.
 
 Exit codes: 0 success, 1 input/usage error, 2 solver infeasibility
-(connectivity above the qubit budget, failed reconstruction). The
+(connectivity above the qubit budget, failed reconstruction, partition tree
+deeper than the interpreter's recursion limit). The
 DCQAOA_THREADS environment variable sets the worker-pool size for sweep
 and compare rows; results are identical for any thread count because every
 row derives its own seed.
@@ -15,7 +16,10 @@ import io
 import os
 import sys
 import time
+import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .baselines import greedy_local_search, random_search
 from .errors import (
@@ -30,7 +34,6 @@ from .errors import (
 )
 from .graphs import (
     BRUTE_FORCE_LIMIT,
-    Graph,
     best_sampled_cut,
     brute_force_maxcut,
     expectation_value,
@@ -41,7 +44,7 @@ from .graphs import (
 )
 from .qaoa import qaoa_maxcut
 from .reconstruction import SCHEMES, kl_divergence
-from .reports import REFERENCE_RESTARTS, build_run_report, dumps_report
+from .reports import build_run_report, dumps_report, reference_optimum
 from .seeds import derive_seed
 from .solver import DcConfig, dc_qaoa_traced, tree_nrl
 
@@ -254,7 +257,6 @@ def _cmd_sweep(args) -> int:
     def run_row(spec):
         value, rep = spec
         seed = derive_seed(args.seed, "sweep", args.axis, value, rep)
-        overrides = {args.axis: value, "seed": seed}
         row = {
             "axis": args.axis,
             "value": value,
@@ -263,18 +265,7 @@ def _cmd_sweep(args) -> int:
             "error": "",
         }
         try:
-            cfg = DcConfig(
-                **{
-                    "p": base.p,
-                    "t": base.t,
-                    "s": base.s,
-                    "k": base.k,
-                    "scheme": base.scheme,
-                    "budget": base.budget,
-                    "restarts": base.restarts,
-                    **overrides,
-                }
-            )
+            cfg = replace(base, **{args.axis: value, "seed": seed})
             started = time.perf_counter()
             solution, tree = dc_qaoa_traced(g, cfg)
             elapsed = time.perf_counter() - started
@@ -291,7 +282,7 @@ def _cmd_sweep(args) -> int:
     with ThreadPoolExecutor(max_workers=thread_count()) as pool:
         rows = list(pool.map(run_row, specs))
 
-    reference_cut, reference_kind = _sweep_reference(
+    reference_cut, reference_kind = reference_optimum(
         g, [r["best_cut"] for r in rows if not r["error"]], args.seed
     )
     for row in rows:
@@ -310,16 +301,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_reference(g: Graph, cuts: list[int], seed: int) -> tuple[int, str]:
-    if g.n <= BRUTE_FORCE_LIMIT:
-        max_cut, _ = brute_force_maxcut(g)
-        return max_cut, "brute_force"
-    local = greedy_local_search(
-        g, seed=derive_seed(seed, "reference"), restarts=REFERENCE_RESTARTS
-    )
-    return max([local.best_cut, *cuts]), "best_of_suite"
-
-
 def _cmd_compare(args) -> int:
     paths = list(args.graphs)
     if args.suite:
@@ -335,16 +316,7 @@ def _cmd_compare(args) -> int:
             g = load_graph(path)
             row["nodes"] = g.n
             row["edges"] = g.m
-            cfg = DcConfig(
-                p=base.p,
-                t=base.t,
-                s=base.s,
-                k=base.k,
-                scheme=base.scheme,
-                seed=derive_seed(args.seed, "compare", index),
-                budget=base.budget,
-                restarts=base.restarts,
-            )
+            cfg = replace(base, seed=derive_seed(args.seed, "compare", index))
             started = time.perf_counter()
             solution, tree = dc_qaoa_traced(g, cfg)
             dc_elapsed = time.perf_counter() - started
@@ -438,6 +410,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _deepest_recursion(exc: RecursionError) -> tuple[str, int]:
+    """The function that recursed most in the traceback, and its frame count.
+
+    The solver and the report both recurse once per partition-tree level,
+    so the count is the tree depth reached when the limit was hit.
+    """
+    frames = Counter(frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__))
+    code, depth = frames.most_common(1)[0]
+    return code.co_name, depth
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -448,6 +431,14 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ConnectivityExceededError, ReconstructionError, PartitionProgressError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        name, depth = _deepest_recursion(exc)
+        print(
+            f"infeasible: partition tree too deep: {name} reached depth {depth} "
+            f"before the interpreter's recursion limit of {sys.getrecursionlimit()}",
+            file=sys.stderr,
+        )
         return 2
     except (
         EdgeListParseError,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable
 
 import hashlib
@@ -96,6 +97,22 @@ class Graph:
     def digest(self) -> str:
         """Stable content hash of the canonical serialization."""
         return hashlib.sha256(serialize_edge_list(self).encode("utf-8")).hexdigest()
+
+
+def canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Exact isomorphism-class key: node count plus the smallest edge tuple.
+
+    Tries every relabeling of the bit positions 0..n-1 and keeps the
+    lexicographically smallest sorted edge tuple, so two graphs get the same
+    key exactly when they are isomorphic. Costs n! relabelings; callers keep
+    n small.
+    """
+    positions = g.edge_positions.tolist()
+    best = min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in positions))
+        for p in permutations(range(g.n))
+    )
+    return g.n, best
 
 
 @dataclass

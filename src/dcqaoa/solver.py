@@ -5,18 +5,31 @@ heuristic; each side is solved recursively and the two sampling
 distributions are merged under the combination criterion. At every level
 the map is re-ranked by true cut size, truncated to the top-t entries, and
 rescaled to a fixed total count.
+
+Leaves of at most ANGLE_CACHE_MAX_NODES nodes share optimized angles within
+one solve: the first leaf of each isomorphism class (in the fixed recursion
+order) runs the optimizer, and later isomorphic leaves reuse its angles,
+which is exact because the QAOA expectation does not depend on node labels.
+Every leaf still samples its own distribution from its own seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from . import qaoa
 from .errors import ReconstructionError
-from .graphs import Graph, SolutionMap
+from .graphs import Graph, SolutionMap, canonical_form
 from .partition import nlgp, nrl
-from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, qaoa_maxcut
+from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, AnsatzParams
 from .reconstruction import combine, rerank_by_cut, scheme_function
 from .seeds import derive_seed
+
+
+ANGLE_CACHE_MAX_NODES = 6
+
+# Optimized angles of one solve, keyed by the leaf's canonical form.
+AngleCache = dict[tuple, AnsatzParams]
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ def dc_qaoa(g: Graph, cfg: DcConfig) -> SolutionMap:
 
 def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]:
     """Like dc_qaoa but also returns the partition tree for reporting."""
-    return _solve(g, cfg, level=0)
+    return _solve(g, cfg, level=0, angles={})
 
 
 def tree_nrl(g: Graph, tree: PartitionNode) -> float:
@@ -131,12 +144,11 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
     return nrl(g, leaf_graphs)
 
 
-def _solve(g: Graph, cfg: DcConfig, level: int) -> tuple[SolutionMap, PartitionNode]:
+def _solve(
+    g: Graph, cfg: DcConfig, level: int, angles: AngleCache
+) -> tuple[SolutionMap, PartitionNode]:
     if g.n <= cfg.k:
-        seed = derive_seed(cfg.seed, "leaf", g.nodes)
-        out = qaoa_maxcut(
-            g, cfg.p, shots=cfg.s, seed=seed, budget=cfg.budget, restarts=cfg.restarts
-        )
+        out = _solve_leaf(g, cfg, angles)
         node = PartitionNode(nodes=g.nodes)
     elif any(not g.adjacency[v] for v in g.nodes):
         # A split can leave separator nodes with no edges on this side
@@ -144,12 +156,16 @@ def _solve(g: Graph, cfg: DcConfig, level: int) -> tuple[SolutionMap, PartitionN
         # Solve the non-trivial part and spread each assignment evenly
         # over the isolated nodes' bits, matching what the mixer does to
         # an unconstrained qubit.
-        return _solve_with_isolated(g, cfg, level)
+        return _solve_with_isolated(g, cfg, level, angles)
     else:
         split = nlgp(g, cfg.k)
         g1, g2 = split.subgraphs
-        m1, node1 = _solve(g1, replace(cfg, seed=derive_seed(cfg.seed, "child", g1.nodes)), level + 1)
-        m2, node2 = _solve(g2, replace(cfg, seed=derive_seed(cfg.seed, "child", g2.nodes)), level + 1)
+        m1, node1 = _solve(
+            g1, replace(cfg, seed=derive_seed(cfg.seed, "child", g1.nodes)), level + 1, angles
+        )
+        m2, node2 = _solve(
+            g2, replace(cfg, seed=derive_seed(cfg.seed, "child", g2.nodes)), level + 1, angles
+        )
         out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
         if not out.counts:
             raise ReconstructionError(level, g.nodes, stage="combine")
@@ -163,15 +179,29 @@ def _solve(g: Graph, cfg: DcConfig, level: int) -> tuple[SolutionMap, PartitionN
     return out, node
 
 
+def _solve_leaf(g: Graph, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
+    """QAOA on one leaf: optimize (or reuse an isomorphic leaf's angles), then sample."""
+    seed = derive_seed(cfg.seed, "leaf", g.nodes)
+    key = canonical_form(g) if g.n <= ANGLE_CACHE_MAX_NODES else None
+    params = angles.get(key)
+    if params is None:
+        params, _ = qaoa.optimize_params(
+            g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
+        )
+        if key is not None:
+            angles[key] = params
+    return qaoa.sample_solution_map(g, params, cfg.s, seed=derive_seed(seed, "sample"))
+
+
 def _solve_with_isolated(
-    g: Graph, cfg: DcConfig, level: int
+    g: Graph, cfg: DcConfig, level: int, angles: AngleCache
 ) -> tuple[SolutionMap, PartitionNode]:
     isolated = [v for v in g.nodes if not g.adjacency[v]]
     core_nodes = [v for v in g.nodes if g.adjacency[v]]
     if not core_nodes:
         raise ReconstructionError(level, g.nodes, stage="isolated-only subproblem")
     core = Graph.from_edges(g.edges, nodes=core_nodes)
-    core_map, node = _solve(core, cfg, level)
+    core_map, node = _solve(core, cfg, level, angles)
     out = _extend_over_free_nodes(g, core_map, isolated)
     out = rerank_by_cut(g, out)
     out = abridge(out, cfg.t)

@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dcqaoa import Graph
 from dcqaoa.graphs import components_excluding
@@ -53,3 +56,44 @@ def cycle_graph(n: int) -> Graph:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def relabel(g: Graph, mapping: dict) -> Graph:
+    """The same graph with node v renamed mapping[v]."""
+    return Graph.from_edges(
+        [(mapping[u], mapping[v]) for u, v in g.edges],
+        nodes=[mapping[v] for v in g.nodes],
+    )
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """Brute-force isomorphism test: try every bijection of g's nodes onto h's."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    target = set(h.edges)
+    for image in permutations(h.nodes):
+        f = dict(zip(g.nodes, image))
+        if all((min(f[u], f[v]), max(f[u], f[v])) in target for u, v in g.edges):
+            return True
+    return False
+
+
+@st.composite
+def graphs(draw, max_nodes=6, edge_count=None, nodes=None):
+    """Simple graphs on distinct arbitrary labels, possibly with isolated nodes."""
+    if nodes is None:
+        n = draw(st.integers(1, max_nodes))
+        nodes = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    if edge_count is None:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        edges = draw(st.permutations(pairs))[:edge_count]
+    return Graph.from_edges(edges, nodes=nodes)
+
+
+@st.composite
+def relabelings(draw, g: Graph) -> Graph:
+    """g under a random bijection onto fresh arbitrary labels."""
+    fresh = draw(st.lists(st.integers(0, 99), min_size=g.n, max_size=g.n, unique=True))
+    return relabel(g, dict(zip(g.nodes, fresh)))

@@ -1,12 +1,48 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcqaoa import (
     cut_size,
     greedy_local_search,
+    random_chain_graph,
     random_graph,
     random_search,
 )
-from conftest import cycle_graph, k2, path_graph, triangle
+from dcqaoa.seeds import derive_seed
+from conftest import cycle_graph, graphs, k2, path_graph, triangle
+
+
+def greedy_loop(g, seed, restarts):
+    """Node-by-node greedy climb: (assignment, cut, evaluations), the oracle
+    for the vectorized gain scan in greedy_local_search."""
+    n = g.n
+    adj_pos = {g.index[v]: [g.index[w] for w in nbrs] for v, nbrs in g.adjacency.items()}
+    best_bits, best_cut, evaluations = None, -1, 0
+    for r in range(restarts):
+        rng = np.random.default_rng(derive_seed(seed, "restart", r))
+        bits = rng.integers(0, 2, size=n, dtype=np.int8)
+        bits[0] = 0
+        cut = cut_size(g, "".join(str(b) for b in bits))
+        evaluations += 1
+        improved = True
+        while improved:
+            improved = False
+            best_gain, best_node = 0, -1
+            for v in range(n):
+                same = sum(1 for w in adj_pos[v] if bits[w] == bits[v])
+                gain = same - (len(adj_pos[v]) - same)
+                evaluations += 1
+                if gain > best_gain:
+                    best_gain, best_node = gain, v
+            if best_node >= 0:
+                bits[best_node] ^= 1
+                cut += best_gain
+                improved = True
+        if cut > best_cut:
+            best_cut, best_bits = cut, bits.copy()
+    return "".join(str(b) for b in best_bits), best_cut, evaluations
 
 
 class TestRandomSearch:
@@ -79,6 +115,21 @@ class TestGreedyLocalSearch:
             rs = random_search(g, budget=2000, seed=i)
             wins += ls.best_cut >= rs.best_cut
         assert wins >= 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=14), st.integers(0, 10**6), st.integers(1, 4))
+    def test_matches_loop_oracle(self, g, seed, restarts):
+        result = greedy_local_search(g, seed=seed, restarts=restarts)
+        assert (result.best_assignment, result.best_cut, result.evaluations) == greedy_loop(
+            g, seed, restarts
+        )
+
+    def test_matches_loop_oracle_on_chain(self):
+        g = random_chain_graph(120, seed=4)
+        result = greedy_local_search(g, seed=1, restarts=3)
+        assert (result.best_assignment, result.best_cut, result.evaluations) == greedy_loop(
+            g, 1, 3
+        )
 
     def test_deterministic(self):
         g = random_graph(15, 0.3, seed=3)

@@ -2,7 +2,7 @@ import json
 
 
 from dcqaoa.cli import main, thread_count
-from dcqaoa.graphs import load_graph, save_graph
+from dcqaoa.graphs import load_graph, random_chain_graph, save_graph
 from conftest import complete_graph, toy_graph
 
 
@@ -85,6 +85,17 @@ class TestSolve:
         assert main(["solve", path, "--k", "4", "--seed", "1", "--with-kl", *FAST]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["metrics"]["kl_divergence"] >= 0.0
+
+    def test_too_deep_partition_tree_is_infeasible(self, tmp_path, capsys):
+        # single-node separators peel one block per level, so the tree is
+        # about n/2 levels deep: deeper than the recursion limit allows
+        path = tmp_path / "chain2048.edges"
+        save_graph(random_chain_graph(2048, seed=1), path)
+        assert main(["solve", str(path), "--budget", "10", "--restarts", "1", "--stable-output"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("infeasible: partition tree too deep")
+        assert "depth" in err[0]
 
     def test_out_file(self, tmp_path):
         path = write_toy(tmp_path)

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcqaoa import (
     EdgeListParseError,
@@ -22,7 +24,18 @@ from dcqaoa import (
     random_graph,
     serialize_edge_list,
 )
-from conftest import complete_graph, k2, path_graph, toy_graph, triangle
+from dcqaoa.graphs import canonical_form
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    graphs,
+    isomorphic,
+    k2,
+    path_graph,
+    relabelings,
+    toy_graph,
+    triangle,
+)
 
 
 class TestParseEdgeList:
@@ -271,6 +284,33 @@ class TestChainGraphs:
 
     def test_deterministic(self):
         assert random_chain_graph(30, 4) == random_chain_graph(30, 4)
+
+
+@st.composite
+def same_size_pairs(draw):
+    """Two graphs with equal node and edge counts, often non-isomorphic."""
+    g = draw(graphs())
+    h = draw(graphs(nodes=list(range(g.n)), edge_count=g.m))
+    return g, h
+
+
+class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariant_under_relabeling(self, data):
+        g = data.draw(graphs())
+        h = data.draw(relabelings(g))
+        assert canonical_form(h) == canonical_form(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_size_pairs())
+    @example((cycle_graph(6), Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+    def test_equal_exactly_when_isomorphic(self, pair):
+        g, h = pair
+        assert (canonical_form(g) == canonical_form(h)) == isomorphic(g, h)
+
+    def test_isolated_nodes_count(self):
+        assert canonical_form(k2()) != canonical_form(Graph.from_edges([(0, 1)], nodes=[2]))
 
 
 def test_best_sampled_cut_empty_map():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dcqaoa import (
@@ -20,7 +22,7 @@ from dcqaoa import (
     random_graph,
     sample_solution_map,
 )
-from conftest import cycle_graph, k2, toy_graph, triangle
+from conftest import cycle_graph, graphs, k2, relabelings, toy_graph, triangle
 
 
 def dense_final_state(g, layers):
@@ -148,7 +150,19 @@ class TestMixerLayer:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
+angles = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi))
+
+
 class TestExpectation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.lists(angles, min_size=1, max_size=3))
+    def test_invariant_under_relabeling(self, data, layers):
+        # the property that lets isomorphic leaves share optimized angles
+        g = data.draw(graphs())
+        h = data.draw(relabelings(g))
+        params = AnsatzParams(tuple(layers))
+        assert abs(qaoa_expectation(h, params) - qaoa_expectation(g, params)) <= 1e-12
+
     def test_zero_angles_half_edges(self, rng):
         for _ in range(10):
             g = random_graph(int(rng.integers(2, 10)), 0.5, seed=int(rng.integers(0, 10**6)))

@@ -1,5 +1,6 @@
 import pytest
 
+from dcqaoa import qaoa
 from dcqaoa import (
     DcConfig,
     Graph,
@@ -19,7 +20,7 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from conftest import toy_graph
+from conftest import isomorphic, toy_graph
 
 
 class TestWeightMap:
@@ -145,6 +146,48 @@ class TestDcQaoa:
                 runs.append(best_sampled_cut(g, dc_qaoa(g, cfg)) / exact)
             means.append(sum(runs) / len(runs))
         assert means[1] >= means[0] - 1e-9
+
+
+class TestAngleCache:
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (random_chain_graph(100, seed=2), 8),  # K2/K3/K4 leaves, most repeated
+            (toy_graph(), 4),  # a triangle and a 3-node path: same size, not isomorphic
+        ],
+    )
+    def test_optimizer_runs_once_per_leaf_class(self, monkeypatch, g, k):
+        optimized, sampled = [], []
+        real_optimize, real_sample = qaoa.optimize_params, qaoa.sample_solution_map
+
+        def counting_optimize(g, *args, **kwargs):
+            result = real_optimize(g, *args, **kwargs)
+            optimized.append((g, result[0]))
+            return result
+
+        def counting_sample(g, params, *args, **kwargs):
+            sampled.append((g, params))
+            return real_sample(g, params, *args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "optimize_params", counting_optimize)
+        monkeypatch.setattr(qaoa, "sample_solution_map", counting_sample)
+        cfg = DcConfig(k=k, s=1000, t=20, seed=6, budget=60, restarts=2)
+        _, tree = dc_qaoa_traced(g, cfg)
+
+        assert len(sampled) == len(tree.leaves())
+        # first leaf of each class, in solve order; leaves above 6 nodes are never shared
+        firsts: list = []
+        for leaf, params in sampled:
+            rep = next((f for f in firsts if leaf.n <= 6 and isomorphic(leaf, f[0])), None)
+            if rep is None:
+                firsts.append((leaf, params))
+            else:
+                assert params == rep[1]
+        assert optimized == firsts
+
+        # a second solve starts from an empty cache
+        dc_qaoa(g, cfg)
+        assert len(optimized) == 2 * len(firsts)
 
 
 class TestDcConfig:
