@@ -33,9 +33,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import (
-    BRUTE_FORCE_LIMIT,
     best_sampled_cut,
-    brute_force_maxcut,
     expectation_value,
     load_graph,
     random_chain_graph,
@@ -324,11 +322,9 @@ def _cmd_compare(args) -> int:
             rs_budget = cfg.s * tree.count()
             rs = random_search(g, rs_budget, seed=derive_seed(args.seed, "rs", index))
             ls = greedy_local_search(g, seed=derive_seed(args.seed, "ls", index))
-            if g.n <= BRUTE_FORCE_LIMIT:
-                reference_cut, reference_kind = brute_force_maxcut(g)[0], "brute_force"
-            else:
-                reference_cut = max(dc_cut, rs.best_cut, ls.best_cut)
-                reference_kind = "best_of_suite"
+            reference_cut, reference_kind = reference_optimum(
+                g, [dc_cut, rs.best_cut, ls.best_cut], cfg.seed
+            )
             row.update(
                 reference_cut=reference_cut,
                 reference_kind=reference_kind,

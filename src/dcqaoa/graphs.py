@@ -356,8 +356,6 @@ def brute_force_maxcut(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> tuple[int, s
         raise ValueError("empty graph has no cut assignments")
     if n > limit:
         raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {limit}")
-    if n == 1:
-        return 0, {"0", "1"}
     half = np.arange(1 << (n - 1), dtype=np.int32)
     cuts = _cut_values_for_indices(g, half, n)
     best = int(cuts.max())

@@ -1,9 +1,11 @@
 """Node-separator partitioning.
 
-Splits a connected graph into exactly two overlapping subgraphs by removing
-a shortest path-shaped node separator; separator nodes are duplicated into
-both subgraphs so no edge is lost. Also provides the node-redundancy-level
-metric that scores a partition by how much duplication it introduced.
+Splits a graph into exactly two overlapping subgraphs by removing a
+shortest path-shaped node separator; separator nodes are duplicated into
+both subgraphs so no edge is lost. A disconnected graph already falls apart
+without removing anything, so its separator is empty. Also provides the
+node-redundancy-level metric that scores a partition by how much
+duplication it introduced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ class SeparationResult:
 
     The separator nodes belong to both subgraphs; the subgraphs' edge sets
     are disjoint and cover the original edge set, and no edge joins the two
-    non-separator sides.
+    non-separator sides. The separator is empty when the graph was already
+    disconnected.
     """
 
     separator: tuple[int, ...]
@@ -71,8 +74,11 @@ def enumerate_paths(g: Graph, length: int) -> list[list[int]]:
 def nlgp(g: Graph, k: int) -> SeparationResult:
     """Find a shortest path-shaped node separator splitting g in two.
 
-    Tries separator sizes 1, 2, ..., k-1 in order; within a size, candidate
-    paths are tried in ascending lexicographic order and the first one whose
+    Tries separator sizes 0, 1, ..., k-1 in order. Size 0 applies to a
+    disconnected graph: its components, ascending by smallest member, are
+    split into a first and a second half, which keeps the recursion depth
+    logarithmic in the component count. Within a size >= 1, candidate paths
+    are tried in ascending lexicographic order and the first one whose
     removal leaves exactly two connected components wins. Candidates leaving
     three or more components are rejected.
 
@@ -83,8 +89,10 @@ def nlgp(g: Graph, k: int) -> SeparationResult:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         raise ValueError(f"graph with {g.n} nodes fits the {k}-node budget; no split needed")
-    if len(dfs_connected_components(g)) != 1:
-        raise ValueError("input graph must be connected")
+    comps = dfs_connected_components(g)
+    if len(comps) > 1:
+        half = len(comps) // 2
+        return _build_split(g, (), set().union(*comps[:half]), set().union(*comps[half:]))
 
     for counter in range(1, k):
         for path in iter_paths(g, counter):

@@ -40,16 +40,16 @@ def combine(
     A pair is compatible when both strings assign the same bit to every
     common node. The merged assignment over the union node set takes each
     node's bit from the first map when the node belongs to g1, otherwise
-    from the second; its count is scheme(count1, count2). Output is sorted
-    by count descending. An empty result (no compatible pair) is returned
-    as an empty map for the caller to handle.
+    from the second; its count is scheme(count1, count2). Node-disjoint maps
+    have no common node to disagree on, so every pair merges and the result
+    is their product. Output is sorted by count descending. An empty result
+    (no compatible pair) is returned as an empty map for the caller to
+    handle.
     """
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
         raise ValueError("solution maps must be keyed on their subgraph node sets")
     common = sorted(set(g1.nodes) & set(g2.nodes))
-    if not common:
-        raise ValueError("subgraphs share no common node")
     pos1 = g1.index
     pos2 = g2.index
     union_nodes = tuple(sorted(set(g1.nodes) | set(g2.nodes)))

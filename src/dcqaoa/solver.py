@@ -1,10 +1,12 @@
 """Recursive divide-and-conquer MaxCut driver.
 
 Graphs larger than the qubit budget are split by the separator-path
-heuristic; each side is solved recursively and the two sampling
-distributions are merged under the combination criterion. At every level
-the map is re-ranked by true cut size, truncated to the top-t entries, and
-rescaled to a fixed total count.
+heuristic, or between their components when already disconnected; each
+side is solved recursively and the two sampling distributions are merged
+under the combination criterion (a plain product when the sides share no
+node). Separator nodes with no edge on the second side are solved only on
+the first side. At every level the map is re-ranked by true cut size,
+truncated to the top-t entries, and rescaled to a fixed total count.
 
 Leaves of at most ANGLE_CACHE_MAX_NODES nodes share optimized angles within
 one solve: the first leaf of each isomorphism class (in the fixed recursion
@@ -150,16 +152,14 @@ def _solve(
     if g.n <= cfg.k:
         out = _solve_leaf(g, cfg, angles)
         node = PartitionNode(nodes=g.nodes)
-    elif any(not g.adjacency[v] for v in g.nodes):
-        # A split can leave separator nodes with no edges on this side
-        # (separator-internal edges all belong to the other subgraph).
-        # Solve the non-trivial part and spread each assignment evenly
-        # over the isolated nodes' bits, matching what the mixer does to
-        # an unconstrained qubit.
-        return _solve_with_isolated(g, cfg, level, angles)
     else:
         split = nlgp(g, cfg.k)
         g1, g2 = split.subgraphs
+        # g1 holds the separator-internal edges and fixes every separator bit,
+        # so g2 drops the separator nodes left without an edge on its side
+        edgeless = [v for v in split.separator if not g2.adjacency[v]]
+        if edgeless:
+            g2 = Graph.from_edges(g2.edges, nodes=set(g2.nodes) - set(edgeless))
         m1, node1 = _solve(
             g1, replace(cfg, seed=derive_seed(cfg.seed, "child", g1.nodes)), level + 1, angles
         )
@@ -191,46 +191,3 @@ def _solve_leaf(g: Graph, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
         if key is not None:
             angles[key] = params
     return qaoa.sample_solution_map(g, params, cfg.s, seed=derive_seed(seed, "sample"))
-
-
-def _solve_with_isolated(
-    g: Graph, cfg: DcConfig, level: int, angles: AngleCache
-) -> tuple[SolutionMap, PartitionNode]:
-    isolated = [v for v in g.nodes if not g.adjacency[v]]
-    core_nodes = [v for v in g.nodes if g.adjacency[v]]
-    if not core_nodes:
-        raise ReconstructionError(level, g.nodes, stage="isolated-only subproblem")
-    core = Graph.from_edges(g.edges, nodes=core_nodes)
-    core_map, node = _solve(core, cfg, level, angles)
-    out = _extend_over_free_nodes(g, core_map, isolated)
-    out = rerank_by_cut(g, out)
-    out = abridge(out, cfg.t)
-    out = rescale(out, cfg.s)
-    if not out.counts:
-        raise ReconstructionError(level, g.nodes, stage="isolated extension")
-    return out, PartitionNode(nodes=g.nodes, separator=node.separator, children=node.children)
-
-
-def _extend_over_free_nodes(
-    g: Graph, core_map: SolutionMap, isolated: list[int]
-) -> SolutionMap:
-    """Lift a core solution map onto g by splitting counts over free bits."""
-    free = sorted(isolated)
-    core_pos = {v: i for i, v in enumerate(core_map.nodes)}
-    variants = [""]
-    for _ in free:
-        variants = [prefix + bit for prefix in variants for bit in "01"]
-    counts: dict[str, int] = {}
-    for assignment, count in core_map.counts.items():
-        share, remainder = divmod(count, len(variants))
-        for j, bits in enumerate(variants):
-            value = share + (1 if j < remainder else 0)
-            if value == 0:
-                continue
-            it = iter(bits)
-            key = "".join(
-                assignment[core_pos[v]] if v in core_pos else next(it)
-                for v in g.nodes
-            )
-            counts[key] = value
-    return SolutionMap(g.nodes, counts)

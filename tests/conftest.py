@@ -2,10 +2,16 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from dcqaoa import Graph
 from dcqaoa.graphs import components_excluding
+
+
+# property tests explore the same examples on every run and keep no database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def check_separation_invariants(g, split):

@@ -97,6 +97,24 @@ class TestSolve:
         assert err[0].startswith("infeasible: partition tree too deep")
         assert "depth" in err[0]
 
+    def test_disconnected_input_with_isolated_nodes_solves(self, tmp_path, capsys):
+        # a triangle, a 3-node path and two isolated-node lines
+        path = tmp_path / "parts.edges"
+        path.write_text("0 1\n1 2\n0 2\n10 11\n11 12\n20\n21\n")
+        assert main(["solve", str(path), "--k", "3", "--seed", "1", *FAST]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solution"]["nodes"] == [0, 1, 2, 10, 11, 12, 20, 21]
+        assert report["reference"] == {"kind": "brute_force", "max_cut": 4}
+        assert report["metrics"]["approximation_ratio_best_sampled"] == 1.0
+
+    def test_edgeless_graph_solves(self, tmp_path, capsys):
+        path = tmp_path / "edgeless.edges"
+        path.write_text("".join(f"{v}\n" for v in range(300)))
+        assert main(["solve", str(path), *FAST]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solution"]["nodes"] == list(range(300))
+        assert report["metrics"]["best_sampled_cut"] == 0
+
     def test_out_file(self, tmp_path):
         path = write_toy(tmp_path)
         out = tmp_path / "report.json"

@@ -174,10 +174,15 @@ class TestBruteForce:
             assert best >= (g.m + 1) // 2
 
     def test_matches_naive_enumeration(self, rng):
-        for _ in range(10):
-            g = random_graph(int(rng.integers(2, 9)), 0.5, seed=int(rng.integers(0, 10**6)))
-            naive = max(cut_size(g, format(b, f"0{g.n}b")) for b in range(1 << g.n))
-            assert brute_force_maxcut(g)[0] == naive
+        single = Graph.from_edges(nodes=[0])
+        for g in [single] + [
+            random_graph(int(rng.integers(2, 9)), 0.5, seed=int(rng.integers(0, 10**6)))
+            for _ in range(10)
+        ]:
+            assignments = [format(b, f"0{g.n}b") for b in range(1 << g.n)]
+            naive = max(cut_size(g, a) for a in assignments)
+            winners = {a for a in assignments if cut_size(g, a) == naive}
+            assert brute_force_maxcut(g) == (naive, winners)
 
 
 class TestComponents:

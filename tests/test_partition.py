@@ -87,10 +87,24 @@ class TestNlgp:
             for subset in itertools.combinations(g.nodes, size):
                 assert not splits_into_two(g, subset)
 
-    def test_disconnected_input_rejected(self):
-        g = Graph.from_edges([(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            nlgp(g, 2)
+    def test_disconnected_input_splits_between_components(self):
+        # size-0 separator: the first half of the components (ascending by
+        # smallest member) against the second half
+        two = Graph.from_edges([(0, 1), (2, 3)])
+        check_separation_invariants(two, nlgp(two, 2))
+        cases = [
+            (two, ({0, 1}, {2, 3})),
+            (Graph.from_edges([(0, 3), (1, 4), (2, 5)]), ({0, 3}, {1, 2, 4, 5})),
+            (Graph.from_edges([(1, 2), (2, 3)], nodes=[0, 7]), ({0}, {1, 2, 3, 7})),
+            (Graph.from_edges([(0, 4), (1, 5)], nodes=[2, 3]), ({0, 1, 4, 5}, {2, 3})),
+        ]
+        for g, halves in cases:
+            split = nlgp(g, 2)
+            g1, g2 = split.subgraphs
+            assert split.separator == ()
+            assert (set(g1.nodes), set(g2.nodes)) == halves
+            assert not set(g1.edges) & set(g2.edges)
+            assert set(g1.edges) | set(g2.edges) == set(g.edges)
 
     def test_small_graph_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from dcqaoa import (
     nlgp,
     rerank_by_cut,
 )
-from dcqaoa.reconstruction import KL_SMOOTHING
+from dcqaoa.reconstruction import KL_SMOOTHING, SCHEMES
 from conftest import toy_graph, triangle
 
 
@@ -54,13 +54,22 @@ class TestCombine:
         m2 = SolutionMap(g2.nodes, {"010": 20})
         assert combine(g1, g2, m1, m2, "min").counts == {}
 
-    def test_no_common_node_rejected(self):
-        a = Graph.from_edges([(0, 1)])
-        b = Graph.from_edges([(2, 3)])
-        with pytest.raises(ValueError):
-            combine(
-                a, b, SolutionMap(a.nodes, {"01": 1}), SolutionMap(b.nodes, {"01": 1}), "min"
-            )
+    def test_no_common_node_joins_as_product(self, rng):
+        # labels interleave: 0 and 2 come from a, 1, 3 and 4 from b
+        a = Graph.from_edges([(0, 2)])
+        b = Graph.from_edges([(1, 3)], nodes=[4])
+        m1 = SolutionMap(a.nodes, {"01": 7, "10": 3, "00": 5})
+        m2 = SolutionMap(b.nodes, {format(x, "03b"): int(rng.integers(1, 50)) for x in range(6)})
+        for scheme, fn in SCHEMES.items():
+            expected = {}
+            for s1, c1 in m1.counts.items():
+                for s2, c2 in m2.counts.items():
+                    expected[s1[0] + s2[0] + s1[1] + s2[1] + s2[2]] = fn(c1, c2)
+            out = combine(a, b, m1, m2, scheme)
+            assert out.nodes == (0, 1, 2, 3, 4)
+            assert len(out.counts) == len(m1.counts) * len(m2.counts)
+            assert out.counts == expected
+            assert list(out.counts) == sorted(expected, key=lambda k: (-expected[k], k))
 
     def test_unknown_scheme_rejected(self):
         g1, g2 = toy_halves()

@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcqaoa import qaoa
 from dcqaoa import (
+    ConnectivityExceededError,
     DcConfig,
     Graph,
+    ReconstructionError,
     SolutionMap,
     abridge,
     approximation_ratio,
     best_sampled_cut,
+    brute_force_maxcut,
     chain_maxcut,
     dc_qaoa,
     dc_qaoa_traced,
@@ -20,7 +25,7 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from conftest import isomorphic, toy_graph
+from conftest import graphs, isomorphic, toy_graph
 
 
 class TestWeightMap:
@@ -118,9 +123,25 @@ class TestDcQaoa:
         # splitting this star at (0, 1) leaves node 1 with no edges on one side
         g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
         cfg = DcConfig(k=3, seed=5, budget=40, restarts=2)
-        sol = dc_qaoa(g, cfg)
+        sol, tree = dc_qaoa_traced(g, cfg)
+        # g1 holds the separator edge (0, 1) and so fixes node 1's bit; g2 drops it
+        assert [child.nodes for child in tree.children] == [(0, 1, 2), (0, 3)]
         assert sol.total() >= 1
         assert best_sampled_cut(g, sol) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=9), st.integers(2, 4))
+    def test_any_graph_solves_or_fails_cleanly(self, g, k):
+        # graphs() draws disconnected graphs and isolated nodes too
+        cfg = DcConfig(k=k, s=200, t=8, seed=3, budget=10, restarts=1)
+        try:
+            sol = dc_qaoa(g, cfg)
+        except (ConnectivityExceededError, ReconstructionError):
+            return
+        assert sol.nodes == g.nodes
+        assert 1 <= len(sol.counts) <= cfg.t
+        assert sol.total() <= cfg.s
+        assert best_sampled_cut(g, sol) <= brute_force_maxcut(g)[0]
 
     def test_hundred_node_chain_reaches_optimum(self):
         g = random_chain_graph(100, seed=2)
