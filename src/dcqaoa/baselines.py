@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, cut_values
 from .seeds import derive_seed
 
 
@@ -17,13 +17,6 @@ class BaselineResult:
     best_cut: int
     evaluations: int
     elapsed: float
-
-
-def _cuts_of_bit_rows(g: Graph, rows: np.ndarray) -> np.ndarray:
-    cuts = np.zeros(rows.shape[0], dtype=np.int64)
-    for pu, pv in g.edge_positions:
-        cuts += rows[:, pu] != rows[:, pv]
-    return cuts
 
 
 def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
@@ -36,7 +29,7 @@ def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
     rows = np.zeros((budget, n), dtype=np.uint8)
     if n > 1:
         rows[:, 1:] = rng.integers(0, 2, size=(budget, n - 1), dtype=np.uint8)
-    cuts = _cuts_of_bit_rows(g, rows)
+    cuts = cut_values(g, rows)
     best = int(np.argmax(cuts))
     assignment = "".join("1" if b else "0" for b in rows[best])
     return BaselineResult(
@@ -66,7 +59,7 @@ def greedy_local_search(g: Graph, seed: int, restarts: int = 10) -> BaselineResu
         rng = np.random.default_rng(derive_seed(seed, "restart", r))
         bits = rng.integers(0, 2, size=n, dtype=np.int8)
         bits[0] = 0
-        cut = int(_cuts_of_bit_rows(g, bits.reshape(1, -1))[0])
+        cut = int(cut_values(g, bits.reshape(1, -1))[0])
         evaluations += 1
         while True:
             # flipping v cuts its same-side edges and uncuts its cut ones

@@ -19,7 +19,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .baselines import greedy_local_search, random_search
 from .errors import (
@@ -122,16 +122,8 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> DcConfig:
-    return DcConfig(
-        p=args.p,
-        t=args.t,
-        s=args.s,
-        k=args.k,
-        scheme=args.scheme,
-        seed=args.seed,
-        budget=args.budget,
-        restarts=args.restarts,
-    )
+    """The DcConfig of the parsed flags; each config flag is named after its field."""
+    return DcConfig(**{f.name: getattr(args, f.name) for f in fields(DcConfig)})
 
 
 def build_parser() -> _Parser:
@@ -288,12 +280,8 @@ def _cmd_sweep(args) -> int:
             continue
         row["reference_cut"] = reference_cut
         row["reference_kind"] = reference_kind
-        if reference_cut > 0:
-            row["ar_expectation"] = row["expectation_value"] / reference_cut
-            row["ar_best_sampled"] = row["best_cut"] / reference_cut
-        else:
-            row["ar_expectation"] = 1.0
-            row["ar_best_sampled"] = 1.0
+        row["ar_expectation"] = _ratio(row["expectation_value"], reference_cut)
+        row["ar_best_sampled"] = _ratio(row["best_cut"], reference_cut)
 
     _emit(_render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows), args.out)
     return 0
@@ -325,19 +313,18 @@ def _cmd_compare(args) -> int:
             reference_cut, reference_kind = reference_optimum(
                 g, [dc_cut, rs.best_cut, ls.best_cut], cfg.seed
             )
+            dc_expectation = expectation_value(g, solution)
             row.update(
                 reference_cut=reference_cut,
                 reference_kind=reference_kind,
                 dc_best_cut=dc_cut,
-                dc_expectation_value=expectation_value(g, solution),
-                dc_ar_expectation=expectation_value(g, solution) / reference_cut
-                if reference_cut
-                else 1.0,
-                dc_ar_best_sampled=dc_cut / reference_cut if reference_cut else 1.0,
+                dc_expectation_value=dc_expectation,
+                dc_ar_expectation=_ratio(dc_expectation, reference_cut),
+                dc_ar_best_sampled=_ratio(dc_cut, reference_cut),
                 dc_runtime_seconds=None if args.stable_output else dc_elapsed,
                 rs_budget=rs_budget,
                 rs_best_cut=rs.best_cut,
-                rs_ar_best_sampled=rs.best_cut / reference_cut if reference_cut else 1.0,
+                rs_ar_best_sampled=_ratio(rs.best_cut, reference_cut),
                 rs_runtime_seconds=None if args.stable_output else rs.elapsed,
                 ls_best_cut=ls.best_cut,
             )
@@ -361,6 +348,11 @@ def _cmd_compare(args) -> int:
 
     _emit(_render_csv(COMPARE_SCHEMA, COMPARE_COLUMNS, rows), args.out)
     return 0
+
+
+def _ratio(cut: float, reference_cut: int) -> float:
+    """Approximation ratio; 1.0 when the reference is 0 (no edge to cut)."""
+    return cut / reference_cut if reference_cut else 1.0
 
 
 def _suite_paths(directory: str, seed: int) -> list[str]:

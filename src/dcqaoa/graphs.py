@@ -30,6 +30,8 @@ from .errors import (
 
 BRUTE_FORCE_LIMIT = 24
 _GENERATION_RETRIES = 200
+# row x edge entries gathered at once by cut_values
+_CUT_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -327,39 +329,64 @@ def _biconnected_blocks(g: Graph):
     return blocks
 
 
+def cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Cut size of each row of an (r, n) array; equal entries mean the same side.
+
+    Gathers rows over ``edge_positions`` in blocks of at most
+    _CUT_BLOCK_ELEMENTS row x edge entries, so memory stays bounded.
+    """
+    if rows.ndim != 2 or rows.shape[1] != g.n:
+        raise ValueError(f"rows of shape {rows.shape} do not match {g.n} nodes")
+    pu, pv = g.edge_positions.T
+    step = max(1, _CUT_BLOCK_ELEMENTS // max(1, g.m))
+    cuts = np.empty(rows.shape[0], dtype=np.int64)
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo : lo + step]
+        cuts[lo : lo + step] = np.count_nonzero(block[:, pu] != block[:, pv], axis=1)
+    return cuts
+
+
+def key_rows(keys: Iterable[str]) -> np.ndarray:
+    """(r, n) rows of the ASCII bytes of r assignment strings of length n."""
+    keys = list(keys)
+    raw = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+    return raw.reshape(len(keys), len(keys[0]) if keys else 0)
+
+
+def index_rows(indices: np.ndarray, n: int) -> np.ndarray:
+    """(r, n) 0/1 rows of basis indices < 2^32, bit position 0 most significant."""
+    octets = np.asarray(indices, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=1)[:, 32 - n :]
+
+
 def cut_size(g: Graph, assignment: str) -> int:
     """Number of edges whose endpoints get different bits."""
     if len(assignment) != g.n:
         raise ValueError(
             f"assignment length {len(assignment)} != node count {g.n}"
         )
-    idx = g.index
-    return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
-
-
-def _cut_values_for_indices(g: Graph, indices: np.ndarray, width: int) -> np.ndarray:
-    """Vectorized cut sizes for basis indices under the MSB-first convention."""
-    cuts = np.zeros(indices.shape, dtype=np.int32)
-    for pu, pv in g.edge_positions:
-        cuts += ((indices >> (width - 1 - pu)) ^ (indices >> (width - 1 - pv))) & 1
-    return cuts
+    return int(cut_values(g, key_rows([assignment]))[0])
 
 
 def brute_force_maxcut(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> tuple[int, set[str]]:
     """Exhaustive MaxCut: (max cut, all optimal assignments incl. complements).
 
     Enumerates half the space by fixing the smallest node's bit to '0' and
-    mirrors the winners, so both orientations are reported.
+    mirrors the winners, so both orientations are reported. The half space
+    is converted to rows one block at a time.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no cut assignments")
     if n > limit:
         raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {limit}")
-    half = np.arange(1 << (n - 1), dtype=np.int32)
-    cuts = _cut_values_for_indices(g, half, n)
+    half = 1 << (n - 1)
+    step = max(1, _CUT_BLOCK_ELEMENTS // n)
+    cuts = np.empty(half, dtype=np.int64)
+    for lo in range(0, half, step):
+        cuts[lo : lo + step] = cut_values(g, index_rows(np.arange(lo, min(lo + step, half)), n))
     best = int(cuts.max())
-    winners = {format(int(b), f"0{n}b") for b in half[cuts == best]}
+    winners = {format(int(b), f"0{n}b") for b in np.flatnonzero(cuts == best)}
     winners |= {complement(w) for w in winners}
     return best, winners
 
@@ -397,14 +424,15 @@ def expectation_value(g: Graph, m: SolutionMap) -> float:
     total = m.total()
     if not m.counts or total <= 0:
         raise ValueError("expectation value needs a non-empty map with positive total count")
-    weighted = sum(cnt * cut_size(g, a) for a, cnt in m.counts.items())
+    cuts = cut_values(g, key_rows(m.counts)).tolist()
+    weighted = sum(cnt * cut for cnt, cut in zip(m.counts.values(), cuts))
     return weighted / total
 
 
 def best_sampled_cut(g: Graph, m: SolutionMap) -> int:
     if not m.counts:
         raise ValueError("empty solution map")
-    return max(cut_size(g, a) for a in m.counts)
+    return int(cut_values(g, key_rows(m.counts)).max())
 
 
 def approximation_ratio(

@@ -63,14 +63,6 @@ def iter_paths(g: Graph, length: int):
         yield from extend([start], {start})
 
 
-def enumerate_paths(g: Graph, length: int) -> list[list[int]]:
-    """All simple paths with exactly `length` distinct nodes.
-
-    Deduplicated up to reversal, in ascending lexicographic order.
-    """
-    return list(iter_paths(g, length))
-
-
 def nlgp(g: Graph, k: int) -> SeparationResult:
     """Find a shortest path-shaped node separator splitting g in two.
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import SizeLimitError
-from .graphs import Graph, SolutionMap, _cut_values_for_indices
+from .graphs import Graph, SolutionMap, cut_values, index_rows
 from .seeds import derive_seed
 
 QUBIT_CAP = 20
@@ -59,8 +59,7 @@ class AnsatzParams:
 def cut_value_table(g: Graph) -> np.ndarray:
     """Cut size of every basis state, indexed per the MSB-first convention."""
     n = _check_qubits(g.n)
-    indices = np.arange(1 << n, dtype=np.int32)
-    return _cut_values_for_indices(g, indices, n).astype(np.float64)
+    return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.float64)
 
 
 def build_initial_state(n: int, cap: int = QUBIT_CAP) -> np.ndarray:
@@ -70,12 +69,8 @@ def build_initial_state(n: int, cap: int = QUBIT_CAP) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
-def apply_cost_layer(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
-    """Phase e^(-i*gamma*cut(b)) on each basis amplitude."""
-    return apply_cost_phases(state, cut_value_table(g), gamma)
-
-
 def apply_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """Phase e^(-i*gamma*table[b]) on each basis amplitude; table is cut_value_table(g)."""
     if state.shape != table.shape:
         raise ValueError("state and cut table dimensions differ")
     return state * np.exp(-1j * gamma * table)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .graphs import Graph, SolutionMap, cut_size
+from .graphs import Graph, SolutionMap, cut_values, key_rows
 
 KL_SMOOTHING = 1e-9
 
@@ -85,7 +85,8 @@ def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     if not m.counts:
         raise ValueError("cannot rerank an empty solution map")
     counts_desc = sorted(m.counts.values(), reverse=True)
-    strings_by_cut = sorted(m.counts, key=lambda a: (-cut_size(g, a), a))
+    cuts = cut_values(g, key_rows(m.counts)).tolist()
+    strings_by_cut = [a for _, a in sorted(zip([-c for c in cuts], m.counts))]
     paired = dict(zip(strings_by_cut, counts_desc))
     return SolutionMap(m.nodes, paired).sorted_by_count()
 

@@ -34,6 +34,12 @@ def check_separation_invariants(g, split):
     assert {frozenset(c) for c in comps} == {frozenset(n1 - sep), frozenset(n2 - sep)}
 
 
+def naive_cut_size(g: Graph, assignment: str) -> int:
+    """Per-edge string loop: the oracle for graphs.cut_values."""
+    idx = g.index
+    return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
+
+
 def toy_graph() -> Graph:
     """Triangle {0,1,2} joined to the path 2-3-4; MaxCut 4, six optima."""
     return Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])

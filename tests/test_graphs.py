@@ -1,4 +1,6 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from dcqaoa import (
     chain_maxcut,
     complement,
     cut_size,
+    cut_value_table,
     dfs_connected_components,
     expectation_value,
     parse_edge_list,
@@ -24,13 +27,14 @@ from dcqaoa import (
     random_graph,
     serialize_edge_list,
 )
-from dcqaoa.graphs import canonical_form
+from dcqaoa.graphs import canonical_form, cut_values, index_rows, key_rows
 from conftest import (
     complete_graph,
     cycle_graph,
     graphs,
     isomorphic,
     k2,
+    naive_cut_size,
     path_graph,
     relabelings,
     toy_graph,
@@ -148,6 +152,46 @@ class TestCutSize:
             assert cut_size(g, a) == cut_size(g, complement(a))
 
 
+class TestCutValues:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graphs(max_nodes=8),
+        st.lists(st.integers(0, 255), min_size=1, max_size=20),
+        st.integers(1, 8),
+    )
+    @example(Graph.from_edges(nodes=[7]), [0, 1], 1)
+    @example(Graph.from_edges(nodes=[3, 5, 9]), [0, 5, 7], 2)
+    def test_matches_string_oracle(self, g, draws, block):
+        indices = [b % (1 << g.n) for b in draws]
+        keys = [format(b, f"0{g.n}b") for b in indices]
+        expected = [naive_cut_size(g, a) for a in keys]
+        bits = np.array([[int(c) for c in a] for a in keys], dtype=np.uint8).reshape(-1, g.n)
+        assert cut_values(g, key_rows(keys)).tolist() == expected
+        assert cut_values(g, bits).tolist() == expected
+        assert cut_values(g, index_rows(np.array(indices), g.n)).tolist() == expected
+
+        every = [format(b, f"0{g.n}b") for b in range(1 << g.n)]
+        table = [naive_cut_size(g, a) for a in every]
+        optimum = (max(table), {a for a, cut in zip(every, table) if cut == max(table)})
+        assert cut_value_table(g).tolist() == table
+        assert brute_force_maxcut(g) == optimum
+
+        # a block of `block` row x edge entries splits these rows across many blocks
+        with mock.patch("dcqaoa.graphs._CUT_BLOCK_ELEMENTS", block):
+            assert cut_values(g, key_rows(keys)).tolist() == expected
+            assert cut_value_table(g).tolist() == table
+            assert brute_force_maxcut(g) == optimum
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            cut_values(triangle(), np.zeros((4, 2), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            cut_values(triangle(), np.zeros(3, dtype=np.uint8))
+
+    def test_empty_rows(self):
+        assert cut_values(triangle(), np.zeros((0, 3), dtype=np.uint8)).shape == (0,)
+
+
 class TestBruteForce:
     def test_triangle(self):
         best, winners = brute_force_maxcut(triangle())
@@ -180,8 +224,8 @@ class TestBruteForce:
             for _ in range(10)
         ]:
             assignments = [format(b, f"0{g.n}b") for b in range(1 << g.n)]
-            naive = max(cut_size(g, a) for a in assignments)
-            winners = {a for a in assignments if cut_size(g, a) == naive}
+            naive = max(naive_cut_size(g, a) for a in assignments)
+            winners = {a for a in assignments if naive_cut_size(g, a) == naive}
             assert brute_force_maxcut(g) == (naive, winners)
 
 

@@ -5,12 +5,12 @@ import pytest
 from dcqaoa import (
     ConnectivityExceededError,
     Graph,
-    enumerate_paths,
     nlgp,
     nrl,
     random_graph,
 )
 from dcqaoa.graphs import components_excluding
+from dcqaoa.partition import iter_paths
 from conftest import (
     check_separation_invariants,
     complete_graph,
@@ -36,27 +36,27 @@ def splits_into_two(g, nodes_removed):
 
 class TestEnumeratePaths:
     def test_single_nodes(self):
-        assert enumerate_paths(triangle(), 1) == [[0], [1], [2]]
+        assert list(iter_paths(triangle(), 1)) == [[0], [1], [2]]
 
     def test_triangle_edges(self):
-        assert enumerate_paths(triangle(), 2) == [[0, 1], [0, 2], [1, 2]]
+        assert list(iter_paths(triangle(), 2)) == [[0, 1], [0, 2], [1, 2]]
 
     def test_path_graph_full_length(self):
-        assert enumerate_paths(path_graph(3), 3) == [[0, 1, 2]]
+        assert list(iter_paths(path_graph(3), 3)) == [[0, 1, 2]]
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
-            enumerate_paths(triangle(), 0)
+            list(iter_paths(triangle(), 0))
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(8):
             g = random_graph(int(rng.integers(4, 9)), 0.5, seed=int(rng.integers(0, 10**6)))
             for length in (2, 3):
-                assert enumerate_paths(g, length) == all_paths_oracle(g, length)
+                assert list(iter_paths(g, length)) == all_paths_oracle(g, length)
 
     def test_lexicographic_order(self):
         g = complete_graph(4)
-        paths = enumerate_paths(g, 3)
+        paths = list(iter_paths(g, 3))
         assert paths == sorted(paths)
 
 

@@ -1,19 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import entropy
 
 from dcqaoa import (
     Graph,
     SolutionMap,
     combine,
-    cut_size,
     kl_divergence,
     nlgp,
     rerank_by_cut,
 )
 from dcqaoa.reconstruction import KL_SMOOTHING, SCHEMES
-from conftest import toy_graph, triangle
+from conftest import graphs, naive_cut_size, toy_graph, triangle
 
 
 def toy_halves():
@@ -117,7 +118,7 @@ class TestCombine:
                 "min",
             )
             (merged,) = out.counts
-            assert cut_size(g, merged) == cut_size(g1, s1) + cut_size(g2, s2)
+            assert naive_cut_size(g, merged) == naive_cut_size(g1, s1) + naive_cut_size(g2, s2)
 
     def test_symmetry_of_symmetric_schemes(self, rng):
         g1, g2 = toy_halves()
@@ -145,7 +146,26 @@ class TestCombine:
         assert counts == sorted(counts, reverse=True)
 
 
+def string_rerank_by_cut(g, m):
+    """The per-string rerank that rerank_by_cut replaced: its oracle."""
+    counts_desc = sorted(m.counts.values(), reverse=True)
+    strings_by_cut = sorted(m.counts, key=lambda a: (-naive_cut_size(g, a), a))
+    return SolutionMap(m.nodes, dict(zip(strings_by_cut, counts_desc))).sorted_by_count()
+
+
 class TestRerank:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_nodes=8), st.data())
+    def test_matches_string_oracle(self, g, data):
+        keys = data.draw(
+            st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=40, unique=True)
+        )
+        counts = data.draw(st.lists(st.integers(0, 6), min_size=len(keys), max_size=len(keys)))
+        m = SolutionMap(g.nodes, {format(b, f"0{g.n}b"): c for b, c in zip(keys, counts)})
+        out = rerank_by_cut(g, m)
+        assert out.entries() == string_rerank_by_cut(g, m).entries()
+        assert sorted(out.counts.values()) == sorted(m.counts.values())
+
     def test_fixed_point_when_already_aligned(self):
         m = SolutionMap((0, 1, 2), {"011": 90, "000": 10})
         assert rerank_by_cut(triangle(), m).counts == m.counts
