@@ -28,7 +28,6 @@ from .errors import (
     EdgeListParseError,
     GenerationError,
     GraphValidationError,
-    PartitionProgressError,
     ReconstructionError,
     SizeLimitError,
 )
@@ -358,10 +357,9 @@ def _ratio(cut: float, reference_cut: int) -> float:
 def _suite_paths(directory: str, seed: int) -> list[str]:
     """Default comparison suite: sparse block-chain graphs across sizes.
 
-    Erdős–Rényi samples routinely embed long induced cycles and many-branch
-    cut vertices, neither of which the path-separator search can split, so
-    the default suite uses the chain family where the solver's precondition
-    holds at every recursion level.
+    Erdős–Rényi samples routinely embed long induced cycles, which the
+    path-separator search cannot split, so the default suite uses the chain
+    family where the solver's precondition holds at every recursion level.
     """
     os.makedirs(directory, exist_ok=True)
     paths = []
@@ -379,15 +377,8 @@ def _render_csv(schema: str, columns: list[str], rows: list[dict]) -> str:
     buffer.write(f"# schema={schema}\n")
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
+    writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -417,7 +408,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConnectivityExceededError, ReconstructionError, PartitionProgressError) as exc:
+    except (ConnectivityExceededError, ReconstructionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:

@@ -31,19 +31,15 @@ class SizeLimitError(DcqaoaError):
 
 
 class ConnectivityExceededError(DcqaoaError):
-    """No node-separator path shorter than the qubit budget splits the graph."""
+    """No node-separator path shorter than the qubit budget disconnects the graph."""
 
     def __init__(self, k: int, n_nodes: int):
         self.k = k
         self.n_nodes = n_nodes
         super().__init__(
             f"graph with {n_nodes} nodes has connectivity at or above k={k}; "
-            f"no separator path of fewer than {k} nodes splits it into two components"
+            f"no separator path of fewer than {k} nodes disconnects it"
         )
-
-
-class PartitionProgressError(DcqaoaError):
-    """A split failed to shrink the problem; recursion would not terminate."""
 
 
 class ReconstructionError(DcqaoaError):

@@ -2,18 +2,19 @@
 
 Splits a graph into exactly two overlapping subgraphs by removing a
 shortest path-shaped node separator; separator nodes are duplicated into
-both subgraphs so no edge is lost. A disconnected graph already falls apart
-without removing anything, so its separator is empty. Also provides the
-node-redundancy-level metric that scores a partition by how much
-duplication it introduced.
+both subgraphs so no edge is lost. The separator may leave any number of
+components: the first half of them, ascending by smallest node, forms one
+side and the rest the other. A disconnected graph already falls apart at the
+empty path, so its separator is empty. Also provides the node-redundancy-level
+metric that scores a partition by how much duplication it introduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConnectivityExceededError, PartitionProgressError
-from .graphs import Graph, components_excluding, dfs_connected_components
+from .errors import ConnectivityExceededError
+from .graphs import Graph, components_excluding
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,14 @@ def iter_paths(g: Graph, length: int):
     """Yield simple paths of exactly `length` distinct nodes, lazily.
 
     One orientation per path (the lexicographically smaller of the two),
-    in ascending lexicographic order of the node sequence. Laziness matters:
-    candidate counts grow like m^(length-1) and the separator search only
-    needs the first acceptable one.
+    in ascending lexicographic order of the node sequence; length 0 yields
+    the empty path once. Laziness matters: candidate counts grow like
+    m^(length-1) and the separator search only needs the first acceptable one.
     """
-    if length < 1:
-        raise ValueError("path length must be >= 1")
-    if length == 1:
-        for v in g.nodes:
-            yield [v]
+    if length < 0:
+        raise ValueError("path length must be >= 0")
+    if length == 0:
+        yield []
         return
     adj = g.adjacency
 
@@ -64,44 +64,38 @@ def iter_paths(g: Graph, length: int):
 
 
 def nlgp(g: Graph, k: int) -> SeparationResult:
-    """Find a shortest path-shaped node separator splitting g in two.
+    """Find a shortest path-shaped node separator that disconnects g.
 
-    Tries separator sizes 0, 1, ..., k-1 in order. Size 0 applies to a
-    disconnected graph: its components, ascending by smallest member, are
-    split into a first and a second half, which keeps the recursion depth
-    logarithmic in the component count. Within a size >= 1, candidate paths
-    are tried in ascending lexicographic order and the first one whose
-    removal leaves exactly two connected components wins. Candidates leaving
-    three or more components are rejected.
+    Tries separator sizes 0, 1, ..., k-1 in order and, within a size, the
+    paths of `iter_paths` in ascending lexicographic order; size 0 is the
+    empty path, which disconnects exactly the graphs that are already
+    disconnected. The first candidate whose removal leaves c >= 2 components
+    wins: the first c // 2 components, ascending by smallest member, form
+    one side and the rest the other, which keeps the recursion depth
+    logarithmic in the component count.
 
-    Raises ConnectivityExceededError when no separator of fewer than k nodes
-    exists, and PartitionProgressError if a split fails to shrink the graph.
+    Raises ConnectivityExceededError when no path of fewer than k nodes
+    disconnects g.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         raise ValueError(f"graph with {g.n} nodes fits the {k}-node budget; no split needed")
-    comps = dfs_connected_components(g)
-    if len(comps) > 1:
-        half = len(comps) // 2
-        return _build_split(g, (), set().union(*comps[:half]), set().union(*comps[half:]))
-
-    for counter in range(1, k):
-        for path in iter_paths(g, counter):
-            separator = frozenset(path)
-            comps = components_excluding(g, separator)
-            if len(comps) != 2:
-                continue
-            return _build_split(g, tuple(path), comps[0], comps[1])
+    for size in range(k):
+        for path in iter_paths(g, size):
+            comps = components_excluding(g, frozenset(path))
+            if len(comps) >= 2:
+                return _build_split(g, tuple(path), comps)
     raise ConnectivityExceededError(k, g.n)
 
 
-def _build_split(
-    g: Graph, path: tuple[int, ...], comp1: set[int], comp2: set[int]
-) -> SeparationResult:
+def _build_split(g: Graph, path: tuple[int, ...], comps: list[set[int]]) -> SeparationResult:
     separator = set(path)
-    side1 = comp1 | separator
-    side2 = comp2 | separator
+    half = len(comps) // 2
+    side1 = separator.union(*comps[:half])
+    side2 = separator.union(*comps[half:])
+    # each side misses at least one component of the other, so both shrink
+    assert len(side1) < g.n and len(side2) < g.n
     edges1: list[tuple[int, int]] = []
     edges2: list[tuple[int, int]] = []
     for u, v in g.edges:
@@ -115,12 +109,9 @@ def _build_split(
             edges2.append((u, v))
         else:
             raise AssertionError(f"edge ({u}, {v}) crosses the separator")
-    g1 = Graph.from_edges(edges1, nodes=side1)
-    g2 = Graph.from_edges(edges2, nodes=side2)
-    if g1.n >= g.n or g2.n >= g.n:
-        raise PartitionProgressError(
-            f"split of {g.n} nodes produced subgraphs of {g1.n} and {g2.n} nodes"
-        )
+    # the edges are a filtered subsequence of g's canonical, sorted edge tuple
+    g1 = Graph(nodes=tuple(sorted(side1)), edges=tuple(edges1))
+    g2 = Graph(nodes=tuple(sorted(side2)), edges=tuple(edges2))
     return SeparationResult(separator=tuple(path), subgraphs=(g1, g2))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .baselines import greedy_local_search
 from .graphs import (
@@ -52,16 +53,7 @@ def build_run_report(
     max_cut, reference_kind = reference_optimum(g, [best_cut], cfg.seed)
     report = {
         "schema": RUN_REPORT_SCHEMA,
-        "config": {
-            "p": cfg.p,
-            "t": cfg.t,
-            "s": cfg.s,
-            "k": cfg.k,
-            "scheme": cfg.scheme,
-            "seed": cfg.seed,
-            "budget": cfg.budget,
-            "restarts": cfg.restarts,
-        },
+        "config": asdict(cfg),
         "graph": {
             "hash": g.digest(),
             "nodes": g.n,
@@ -89,4 +81,4 @@ def build_run_report(
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True) + "\n"

@@ -1,7 +1,7 @@
 """Recursive divide-and-conquer MaxCut driver.
 
-Graphs larger than the qubit budget are split by the separator-path
-heuristic, or between their components when already disconnected; each
+Graphs larger than the qubit budget are split at the first separator path
+that disconnects them (the empty path when already disconnected); each
 side is solved recursively and the two sampling distributions are merged
 under the combination criterion (a plain product when the sides share no
 node). Separator nodes with no edge on the second side are solved only on
@@ -159,7 +159,7 @@ def _solve(
         # so g2 drops the separator nodes left without an edge on its side
         edgeless = [v for v in split.separator if not g2.adjacency[v]]
         if edgeless:
-            g2 = Graph.from_edges(g2.edges, nodes=set(g2.nodes) - set(edgeless))
+            g2 = Graph(nodes=tuple(v for v in g2.nodes if v not in edgeless), edges=g2.edges)
         m1, node1 = _solve(
             g1, replace(cfg, seed=derive_seed(cfg.seed, "child", g1.nodes)), level + 1, angles
         )

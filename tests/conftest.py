@@ -18,6 +18,8 @@ def check_separation_invariants(g, split):
     """Assert every structural guarantee of a separator-path split."""
     sep = set(split.separator)
     g1, g2 = split.subgraphs
+    for gi in (g1, g2):
+        assert Graph.from_edges(gi.edges, nodes=gi.nodes) == gi
     n1, n2 = set(g1.nodes), set(g2.nodes)
     assert sep <= n1 and sep <= n2
     assert n1 | n2 == set(g.nodes)
@@ -29,9 +31,12 @@ def check_separation_invariants(g, split):
         assert not (
             (u in n1 - sep and v in n2 - sep) or (u in n2 - sep and v in n1 - sep)
         )
+    # the first half of the components, ascending by smallest node, against the rest
     comps = components_excluding(g, sep)
-    assert len(comps) == 2
-    assert {frozenset(c) for c in comps} == {frozenset(n1 - sep), frozenset(n2 - sep)}
+    assert len(comps) >= 2
+    half = len(comps) // 2
+    assert n1 - sep == set().union(*comps[:half])
+    assert n2 - sep == set().union(*comps[half:])
 
 
 def naive_cut_size(g: Graph, assignment: str) -> int:
@@ -109,3 +114,16 @@ def relabelings(draw, g: Graph) -> Graph:
     """g under a random bijection onto fresh arbitrary labels."""
     fresh = draw(st.lists(st.integers(0, 99), min_size=g.n, max_size=g.n, unique=True))
     return relabel(g, dict(zip(g.nodes, fresh)))
+
+
+@st.composite
+def forests(draw, max_trees=3, max_tree_nodes=10):
+    """Random trees and disjoint unions of them, on shuffled labels."""
+    sizes = draw(st.lists(st.integers(1, max_tree_nodes), min_size=1, max_size=max_trees))
+    edges, offset = [], 0
+    for size in sizes:
+        # node offset + i hangs below a random earlier node of its tree
+        edges += [(offset + draw(st.integers(0, i - 1)), offset + i) for i in range(1, size)]
+        offset += size
+    labels = draw(st.permutations(range(offset)))
+    return Graph.from_edges([(labels[u], labels[v]) for u, v in edges], nodes=labels)

@@ -206,18 +206,18 @@ def test_criterion_4_partition_soundness(capsys):
         except ConnectivityExceededError:
             infeasible += 1
             if n <= 12:
-                for length in range(1, k):
+                for length in range(k):
                     for cand in _path_oracle(g, length):
-                        assert len(components_excluding(g, set(cand))) != 2
+                        assert len(components_excluding(g, set(cand))) < 2
             continue
         splits += 1
         check_separation_invariants(g, split)
         assert nlgp(g, k).separator == split.separator
         if n <= 12:
             minimality_checked += 1
-            for shorter in range(1, len(split.separator)):
+            for shorter in range(len(split.separator)):
                 for cand in _path_oracle(g, shorter):
-                    assert len(components_excluding(g, set(cand))) != 2
+                    assert len(components_excluding(g, set(cand))) < 2
     elapsed = time.perf_counter() - started
     ok = checked == 200 and splits > 100
     report(

@@ -80,6 +80,23 @@ class TestSolve:
         report = json.loads(text)
         assert json.loads(json.dumps(report)) == report
 
+    def test_report_is_one_line(self, tmp_path, capsys):
+        path = write_toy(tmp_path)
+        assert main(["solve", path, "--k", "4", "--seed", "3", *FAST]) == 0
+        text = capsys.readouterr().out
+        line, end = text.split("\n")
+        assert end == ""
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+
+    def test_star_with_more_leaves_than_budget_solves(self, tmp_path, capsys):
+        # the centre leaves nine components, grouped into halves of 4 and 5 leaves
+        path = tmp_path / "star.edges"
+        path.write_text("".join(f"0 {v}\n" for v in range(1, 10)))
+        assert main(["solve", str(path), "--k", "8", "--seed", "1", *FAST]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["partition_tree"]["separator"] == [0]
+        assert report["metrics"]["best_sampled_cut"] == 9
+
     def test_with_kl_reports_value(self, tmp_path, capsys):
         path = write_toy(tmp_path)
         assert main(["solve", path, "--k", "4", "--seed", "1", "--with-kl", *FAST]) == 0

@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dcqaoa import (
     ConnectivityExceededError,
     Graph,
+    dfs_connected_components,
     nlgp,
     nrl,
     random_graph,
@@ -14,6 +17,8 @@ from dcqaoa.partition import iter_paths
 from conftest import (
     check_separation_invariants,
     complete_graph,
+    forests,
+    graphs,
     path_graph,
     toy_graph,
     triangle,
@@ -30,8 +35,8 @@ def all_paths_oracle(g, length):
     return sorted(list(p) for p in found)
 
 
-def splits_into_two(g, nodes_removed):
-    return len(components_excluding(g, set(nodes_removed))) == 2
+def disconnects(g, nodes_removed):
+    return len(components_excluding(g, set(nodes_removed))) >= 2
 
 
 class TestEnumeratePaths:
@@ -46,7 +51,10 @@ class TestEnumeratePaths:
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
-            list(iter_paths(triangle(), 0))
+            list(iter_paths(triangle(), -1))
+
+    def test_empty_path(self):
+        assert list(iter_paths(triangle(), 0)) == [[]]
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(8):
@@ -85,7 +93,7 @@ class TestNlgp:
         g = complete_graph(5)
         for size in (1, 2, 3):
             for subset in itertools.combinations(g.nodes, size):
-                assert not splits_into_two(g, subset)
+                assert not disconnects(g, subset)
 
     def test_disconnected_input_splits_between_components(self):
         # size-0 separator: the first half of the components (ascending by
@@ -105,6 +113,35 @@ class TestNlgp:
             assert (set(g1.nodes), set(g2.nodes)) == halves
             assert not set(g1.edges) & set(g2.edges)
             assert set(g1.edges) | set(g2.edges) == set(g.edges)
+
+    def test_star_splits_leaves_into_halves(self):
+        # the centre leaves one component per leaf: the first half of them
+        # (ascending by smallest node) against the rest
+        for leaves, k in ((3, 2), (9, 8)):
+            g = Graph.from_edges([(0, v) for v in range(1, leaves + 1)])
+            split = nlgp(g, k)
+            check_separation_invariants(g, split)
+            g1, g2 = split.subgraphs
+            assert split.separator == (0,)
+            assert g1.nodes == tuple(range(leaves // 2 + 1))
+            assert g2.nodes == (0, *range(leaves // 2 + 1, leaves + 1))
+
+    @given(forests(), st.integers(2, 8))
+    def test_every_forest_splits(self, g, k):
+        assume(g.n > k)
+        split = nlgp(g, k)
+        check_separation_invariants(g, split)
+        # a disconnected forest needs no separator node, a tree one cut vertex
+        assert len(split.separator) == (0 if len(dfs_connected_components(g)) > 1 else 1)
+
+    @given(graphs(max_nodes=9), st.integers(1, 8))
+    def test_both_sides_shrink(self, g, k):
+        assume(g.n > k)
+        try:
+            split = nlgp(g, k)
+        except ConnectivityExceededError:
+            return
+        assert all(gi.n < g.n for gi in split.subgraphs)
 
     def test_small_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +168,7 @@ class TestSeparationInvariants:
         assert checked >= 30
 
     def test_minimality_small_graphs(self, rng):
-        # the accepted separator is the shortest path-shaped one
+        # no shorter path, the empty one included, disconnects the graph
         verified = 0
         for _ in range(25):
             n = int(rng.integers(5, 13))
@@ -141,9 +178,9 @@ class TestSeparationInvariants:
                 split = nlgp(g, k)
             except ConnectivityExceededError:
                 continue
-            for shorter in range(1, len(split.separator)):
+            for shorter in range(len(split.separator)):
                 for candidate in all_paths_oracle(g, shorter):
-                    assert not splits_into_two(g, candidate)
+                    assert not disconnects(g, candidate)
             verified += 1
         assert verified >= 10
 

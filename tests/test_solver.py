@@ -25,7 +25,7 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from conftest import graphs, isomorphic, toy_graph
+from conftest import forests, graphs, isomorphic, toy_graph
 
 
 class TestWeightMap:
@@ -120,14 +120,24 @@ class TestDcQaoa:
         assert a.entries() == b.entries()
 
     def test_isolated_separator_node_in_child(self):
-        # splitting this star at (0, 1) leaves node 1 with no edges on one side
-        g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-        cfg = DcConfig(k=3, seed=5, budget=40, restarts=2)
-        sol, tree = dc_qaoa_traced(g, cfg)
-        # g1 holds the separator edge (0, 1) and so fixes node 1's bit; g2 drops it
-        assert [child.nodes for child in tree.children] == [(0, 1, 2), (0, 3)]
-        assert sol.total() >= 1
-        assert best_sampled_cut(g, sol) == 3
+        # the star splits at its centre into the halves {1} and {2, 3}; K2,3
+        # splits at the path (0, 1, 4), which leaves node 1 with no edge on
+        # the second side: g1 holds the separator edges (0, 1) and (1, 4) and
+        # so fixes node 1's bit, and g2 drops it
+        cases = [
+            (Graph.from_edges([(0, 1), (0, 2), (0, 3)]), 3, [(0, 1), (0, 2, 3)], 3),
+            (
+                Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+                4,
+                [(0, 1, 2, 4), (0, 3, 4)],
+                6,
+            ),
+        ]
+        for g, k, children, best in cases:
+            sol, tree = dc_qaoa_traced(g, DcConfig(k=k, seed=5, budget=40, restarts=2))
+            assert [child.nodes for child in tree.children] == children
+            assert sol.total() >= 1
+            assert best_sampled_cut(g, sol) == best
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_nodes=9), st.integers(2, 4))
@@ -142,6 +152,15 @@ class TestDcQaoa:
         assert 1 <= len(sol.counts) <= cfg.t
         assert sol.total() <= cfg.s
         assert best_sampled_cut(g, sol) <= brute_force_maxcut(g)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(forests(), st.integers(2, 4))
+    def test_every_forest_solves(self, g, k):
+        # a forest above the budget is disconnected or has a cut vertex, so it always splits
+        sol = dc_qaoa(g, DcConfig(k=k, s=200, t=8, seed=3, budget=10, restarts=1))
+        assert sol.nodes == g.nodes
+        # a forest is bipartite, so every edge can be cut
+        assert best_sampled_cut(g, sol) <= g.m
 
     def test_hundred_node_chain_reaches_optimum(self):
         g = random_chain_graph(100, seed=2)
