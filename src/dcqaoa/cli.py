@@ -98,7 +98,10 @@ class _Parser(argparse.ArgumentParser):
 def thread_count() -> int:
     raw = os.environ.get("DCQAOA_THREADS", "").strip()
     if raw:
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ValueError(f"DCQAOA_THREADS must be an integer, got {raw!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

@@ -3,16 +3,18 @@
 Conventions used everywhere in this package:
 
 * Nodes are non-negative integer labels; a graph stores them sorted.
-* A cut assignment is a string over ``{0,1}``; character ``j`` gives the
-  cut-set membership of the ``j``-th smallest node of the associated node
-  set ('1' = cut set S, '0' = complement).
+* A cut assignment gives bit ``j`` to the ``j``-th smallest node of the
+  associated node set (1 = cut set S, 0 = complement). Inside the package
+  it is a 0/1 ``uint8`` row; as text it is a string over ``{0,1}``.
 * A ``SolutionMap`` pairs assignments with non-negative sample counts and
-  remembers which node set the assignment positions index.
+  remembers which node set the assignment positions index. It holds its
+  assignments as 0/1 rows; strings appear only in the dict constructor,
+  ``from_dict``, ``counts`` and ``to_dict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Iterable
@@ -117,39 +119,110 @@ def canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return g.n, best
 
 
-@dataclass
 class SolutionMap:
-    """Ordered assignment -> count map over a fixed node set.
+    """Ordered assignment -> count map over a fixed node set, stored as bit rows.
 
-    Entry order is meaningful: producers that promise a sorted map emit
-    entries in non-increasing count order, ties broken by lexicographically
-    smaller assignment first.
+    ``rows`` is a read-only C-contiguous ``uint8`` array of shape
+    ``(r, len(nodes))`` whose row i holds the 0/1 bits of entry i;
+    ``row_counts`` holds the r counts beside it as exact Python ints (products
+    of weighted counts outgrow 64 bits on large graphs). Entry order is
+    meaningful: producers that promise a sorted map emit entries in
+    non-increasing count order, ties broken by lexicographically smaller
+    assignment first.
+
+    ``SolutionMap(nodes, {assignment: count})`` and :meth:`from_dict` validate
+    outside input; :meth:`from_rows` builds maps from rows the package made.
+    ``counts`` gives the entries as a ``{str: int}`` dict in entry order, built
+    on first access; treat it as read-only.
     """
 
-    nodes: tuple[int, ...]
-    counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("nodes", "rows", "row_counts", "_counts")
 
-    def __post_init__(self):
-        self.nodes = tuple(self.nodes)
-        if list(self.nodes) != sorted(set(self.nodes)):
+    def __init__(self, nodes: Iterable[int], counts: dict[str, int] | None = None):
+        nodes = tuple(nodes)
+        if list(nodes) != sorted(set(nodes)):
             raise ValueError("node set must be strictly increasing")
-        width = len(self.nodes)
-        for key, cnt in self.counts.items():
-            if len(key) != width or set(key) - {"0", "1"}:
-                raise ValueError(f"bad assignment {key!r} for {width} nodes")
+        counts = dict(counts or {})
+        keys = list(counts)
+        values = list(counts.values())
+        width = len(nodes)
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        valid = bool((lengths == width).all()) and "".join(keys).isascii()
+        if valid:
+            rows = key_rows(keys).reshape(len(keys), width) - np.uint8(ord("0"))
+            valid = not (rows > 1).any()
+        if not valid:
+            key = next(k for k in keys if len(k) != width or set(k) - {"0", "1"})
+            raise ValueError(f"bad assignment {key!r} for {width} nodes")
+        for key, cnt in counts.items():
             if not isinstance(cnt, int) or cnt < 0:
                 raise ValueError(f"count for {key!r} must be a non-negative integer")
+        self._init(nodes, rows, values)
+        self._counts = counts
+
+    @classmethod
+    def from_rows(cls, nodes: tuple[int, ...], rows: np.ndarray, counts) -> "SolutionMap":
+        """Map whose entry i is (rows[i], counts[i]).
+
+        `nodes` must be strictly increasing, the rows distinct, and the
+        counts non-negative ints; only the array's shape, dtype and values
+        are checked. The map keeps `rows` (made read-only) without copying
+        when it is already C-contiguous.
+        """
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8:
+            raise ValueError("rows must be a uint8 numpy array")
+        if rows.ndim != 2 or rows.shape != (len(counts), len(nodes)):
+            raise ValueError(
+                f"rows of shape {rows.shape} do not fit {len(counts)} counts "
+                f"over {len(nodes)} nodes"
+            )
+        if rows.size and rows.max() > 1:
+            raise ValueError("rows must hold only 0/1 values")
+        m = cls.__new__(cls)
+        m._init(tuple(nodes), rows, list(counts))
+        return m
+
+    def _init(self, nodes: tuple[int, ...], rows: np.ndarray, counts: list[int]) -> None:
+        rows = np.ascontiguousarray(rows)
+        rows.flags.writeable = False
+        self.nodes = nodes
+        self.rows = rows
+        self.row_counts = counts
+        self._counts = None
+
+    @property
+    def counts(self) -> dict[str, int]:
+        if self._counts is None:
+            self._counts = dict(zip(row_strings(self.rows), self.row_counts))
+        return self._counts
+
+    def __eq__(self, other):
+        if not isinstance(other, SolutionMap):
+            return NotImplemented
+        return self.nodes == other.nodes and self.counts == other.counts
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SolutionMap(nodes={self.nodes!r}, counts={self.counts!r})"
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.row_counts)
 
     def entries(self) -> list[tuple[str, int]]:
         return list(self.counts.items())
 
+    def take(self, indices: list[int], counts: list[int] | None = None) -> "SolutionMap":
+        """The entries at `indices`, in that order, optionally with new counts."""
+        if counts is None:
+            counts = [self.row_counts[i] for i in indices]
+        return SolutionMap.from_rows(self.nodes, self.rows[indices], counts)
+
     def sorted_by_count(self) -> "SolutionMap":
-        """Non-increasing count order, lexicographically smaller string first on ties."""
-        ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return SolutionMap(self.nodes, dict(ordered))
+        """Non-increasing count order, lexicographically smaller row first on ties."""
+        # a stable sort keeps the row order among equal counts
+        by_row = lexicographic_order(self.rows).tolist()
+        return self.take(sorted(by_row, key=self.row_counts.__getitem__, reverse=True))
 
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "counts": dict(self.counts)}
@@ -353,6 +426,23 @@ def key_rows(keys: Iterable[str]) -> np.ndarray:
     return raw.reshape(len(keys), len(keys[0]) if keys else 0)
 
 
+def row_strings(rows: np.ndarray) -> list[str]:
+    """Assignment strings of (r, n) 0/1 rows; the inverse of key_rows minus '0'."""
+    r, n = rows.shape
+    if n == 0:
+        return [""] * r
+    text = (rows + np.uint8(ord("0"))).tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, r * n, n)]
+
+
+def lexicographic_order(rows: np.ndarray) -> np.ndarray:
+    """Stable argsort of (r, n) 0/1 rows in the order of their assignment strings."""
+    packed = np.packbits(rows, axis=1)
+    if packed.shape[1] == 0:
+        return np.arange(rows.shape[0])
+    return np.argsort(packed.view(f"V{packed.shape[1]}").ravel(), kind="stable")
+
+
 def index_rows(indices: np.ndarray, n: int) -> np.ndarray:
     """(r, n) 0/1 rows of basis indices < 2^32, bit position 0 most significant."""
     octets = np.asarray(indices, dtype=">u4").view(np.uint8).reshape(-1, 4)
@@ -422,17 +512,17 @@ def components_excluding(g: Graph, removed: frozenset[int] | set[int]) -> list[s
 def expectation_value(g: Graph, m: SolutionMap) -> float:
     """Count-weighted average cut size of a sampling distribution."""
     total = m.total()
-    if not m.counts or total <= 0:
+    if not m.row_counts or total <= 0:
         raise ValueError("expectation value needs a non-empty map with positive total count")
-    cuts = cut_values(g, key_rows(m.counts)).tolist()
-    weighted = sum(cnt * cut for cnt, cut in zip(m.counts.values(), cuts))
+    cuts = cut_values(g, m.rows).tolist()
+    weighted = sum(cnt * cut for cnt, cut in zip(m.row_counts, cuts))
     return weighted / total
 
 
 def best_sampled_cut(g: Graph, m: SolutionMap) -> int:
-    if not m.counts:
+    if not m.row_counts:
         raise ValueError("empty solution map")
-    return int(cut_values(g, key_rows(m.counts)).max())
+    return int(cut_values(g, m.rows).max())
 
 
 def approximation_ratio(

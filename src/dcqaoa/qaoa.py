@@ -173,10 +173,9 @@ def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {
-        format(int(b), f"0{n}b"): int(draws[b]) for b in np.nonzero(draws)[0]
-    }
-    return SolutionMap(g.nodes, counts).sorted_by_count()
+    drawn = np.flatnonzero(draws)
+    rows = index_rows(drawn, n)
+    return SolutionMap.from_rows(g.nodes, rows, draws[drawn].tolist()).sorted_by_count()
 
 
 def qaoa_maxcut(

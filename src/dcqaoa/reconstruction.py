@@ -9,9 +9,10 @@ of the reconstructed distribution.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
-from .graphs import Graph, SolutionMap, cut_values, key_rows
+import numpy as np
+
+from .graphs import Graph, SolutionMap, cut_values, lexicographic_order
 
 KL_SMOOTHING = 1e-9
 
@@ -37,41 +38,35 @@ def combine(
 ) -> SolutionMap:
     """Merge every compatible assignment pair of the two subgraph maps.
 
-    A pair is compatible when both strings assign the same bit to every
-    common node. The merged assignment over the union node set takes each
-    node's bit from the first map when the node belongs to g1, otherwise
-    from the second; its count is scheme(count1, count2). Node-disjoint maps
-    have no common node to disagree on, so every pair merges and the result
-    is their product. Output is sorted by count descending. An empty result
-    (no compatible pair) is returned as an empty map for the caller to
-    handle.
+    A pair is compatible when both rows assign the same bit to every common
+    node. The merged row over the union node set takes each node's bit from
+    the first map when the node belongs to g1, otherwise from the second;
+    its count is scheme(count1, count2). Node-disjoint maps have no common
+    node to disagree on, so every pair merges and the result is their
+    product. Output is sorted by count descending. An empty result (no
+    compatible pair) is returned as an empty map for the caller to handle.
     """
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
         raise ValueError("solution maps must be keyed on their subgraph node sets")
-    common = sorted(set(g1.nodes) & set(g2.nodes))
-    pos1 = g1.index
-    pos2 = g2.index
-    union_nodes = tuple(sorted(set(g1.nodes) | set(g2.nodes)))
     in_g1 = set(g1.nodes)
-    picks = [
-        (0, pos1[node]) if node in in_g1 else (1, pos2[node]) for node in union_nodes
-    ]
+    common = [v for v in g2.nodes if v in in_g1]
+    union_nodes = tuple(sorted(in_g1.union(g2.nodes)))
+    column = {v: i for i, v in enumerate(union_nodes)}
+    pos1, pos2 = g1.index, g2.index
 
-    common1 = [pos1[v] for v in common]
-    common2 = [pos2[v] for v in common]
-    by_signature: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for s2, c2 in m2.counts.items():
-        by_signature["".join(s2[i] for i in common2)].append((s2, c2))
+    # pairs (i1, i2) in m1 entry order, then m2 entry order
+    sig1 = m1.rows[:, [pos1[v] for v in common]]
+    sig2 = m2.rows[:, [pos2[v] for v in common]]
+    i1, i2 = np.nonzero((sig1[:, None, :] == sig2[None, :, :]).all(axis=2))
 
-    merged: dict[str, int] = {}
-    for s1, c1 in m1.counts.items():
-        signature = "".join(s1[i] for i in common1)
-        for s2, c2 in by_signature.get(signature, ()):
-            pair = (s1, s2)
-            key = "".join(pair[side][i] for side, i in picks)
-            merged[key] = fn(c1, c2)
-    return SolutionMap(union_nodes, merged).sorted_by_count()
+    # matched pairs agree on the common columns, so either side may write them
+    merged = np.empty((len(i1), len(union_nodes)), dtype=np.uint8)
+    merged[:, [column[v] for v in g2.nodes]] = m2.rows[i2]
+    merged[:, [column[v] for v in g1.nodes]] = m1.rows[i1]
+    c1, c2 = m1.row_counts, m2.row_counts
+    counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
+    return SolutionMap.from_rows(union_nodes, merged, counts).sorted_by_count()
 
 
 def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
@@ -82,13 +77,12 @@ def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     changes. Ties on cut size break toward the lexicographically smaller
     assignment.
     """
-    if not m.counts:
+    if not m.row_counts:
         raise ValueError("cannot rerank an empty solution map")
-    counts_desc = sorted(m.counts.values(), reverse=True)
-    cuts = cut_values(g, key_rows(m.counts)).tolist()
-    strings_by_cut = [a for _, a in sorted(zip([-c for c in cuts], m.counts))]
-    paired = dict(zip(strings_by_cut, counts_desc))
-    return SolutionMap(m.nodes, paired).sorted_by_count()
+    by_row = lexicographic_order(m.rows)
+    by_cut = by_row[np.argsort(-cut_values(g, m.rows)[by_row], kind="stable")]
+    counts_desc = sorted(m.row_counts, reverse=True)
+    return m.take(by_cut.tolist(), counts_desc).sorted_by_count()
 
 
 def kl_divergence(p: SolutionMap, q: SolutionMap) -> float:

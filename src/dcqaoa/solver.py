@@ -102,20 +102,14 @@ class PartitionNode:
 def weight_map(m: SolutionMap) -> SolutionMap:
     """Multiply every count by the map's node count (subgraph size weighting)."""
     width = len(m.nodes)
-    return SolutionMap(m.nodes, {a: c * width for a, c in m.counts.items()})
+    return SolutionMap.from_rows(m.nodes, m.rows, [c * width for c in m.row_counts])
 
 
 def abridge(m: SolutionMap, t: int) -> SolutionMap:
     """First min(t, |m|) entries of an already sorted map, zero counts dropped."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    kept: dict[str, int] = {}
-    for a, c in m.counts.items():
-        if len(kept) == t:
-            break
-        if c > 0:
-            kept[a] = c
-    return SolutionMap(m.nodes, kept)
+    return m.take([i for i, c in enumerate(m.row_counts) if c > 0][:t])
 
 
 def rescale(m: SolutionMap, s: int) -> SolutionMap:
@@ -125,8 +119,9 @@ def rescale(m: SolutionMap, s: int) -> SolutionMap:
     total = m.total()
     if total <= 0:
         raise ValueError("cannot rescale a map with zero total count")
-    scaled = {a: (s * c) // total for a, c in m.counts.items()}
-    return SolutionMap(m.nodes, {a: c for a, c in scaled.items() if c > 0})
+    scaled = [(s * c) // total for c in m.row_counts]
+    kept = [i for i, c in enumerate(scaled) if c > 0]
+    return m.take(kept, [scaled[i] for i in kept])
 
 
 def dc_qaoa(g: Graph, cfg: DcConfig) -> SolutionMap:
@@ -137,6 +132,8 @@ def dc_qaoa(g: Graph, cfg: DcConfig) -> SolutionMap:
 
 def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]:
     """Like dc_qaoa but also returns the partition tree for reporting."""
+    if g.n == 0:
+        raise ValueError("graph has no nodes")
     return _solve(g, cfg, level=0, angles={})
 
 
@@ -167,14 +164,14 @@ def _solve(
             g2, replace(cfg, seed=derive_seed(cfg.seed, "child", g2.nodes)), level + 1, angles
         )
         out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
-        if not out.counts:
+        if not out.row_counts:
             raise ReconstructionError(level, g.nodes, stage="combine")
         node = PartitionNode(nodes=g.nodes, separator=split.separator, children=[node1, node2])
 
     out = rerank_by_cut(g, out)
     out = abridge(out, cfg.t)
     out = rescale(out, cfg.s)
-    if not out.counts:
+    if not out.row_counts:
         raise ReconstructionError(level, g.nodes, stage="rescale")
     return out, node
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dcqaoa import Graph
+from dcqaoa import Graph, SolutionMap
 from dcqaoa.graphs import components_excluding
+from dcqaoa.reconstruction import scheme_function
 
 
 # property tests explore the same examples on every run and keep no database
@@ -43,6 +44,30 @@ def naive_cut_size(g: Graph, assignment: str) -> int:
     """Per-edge string loop: the oracle for graphs.cut_values."""
     idx = g.index
     return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
+
+
+def string_sorted_by_count(m: SolutionMap) -> list[tuple[str, int]]:
+    """Entries sorted on (-count, string): the oracle for SolutionMap.sorted_by_count."""
+    return sorted(m.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, scheme: str):
+    """Signature-dict join over assignment strings, sorted by (-count, string):
+    the oracle for reconstruction.combine. Returns (union nodes, entries)."""
+    fn = scheme_function(scheme)
+    common = sorted(set(g1.nodes) & set(g2.nodes))
+    pos1, pos2 = g1.index, g2.index
+    union_nodes = tuple(sorted(set(g1.nodes) | set(g2.nodes)))
+    picks = [(0, pos1[v]) if v in pos1 else (1, pos2[v]) for v in union_nodes]
+    by_signature = {}
+    for s2, c2 in m2.counts.items():
+        by_signature.setdefault("".join(s2[pos2[v]] for v in common), []).append((s2, c2))
+    merged = {}
+    for s1, c1 in m1.counts.items():
+        for s2, c2 in by_signature.get("".join(s1[pos1[v]] for v in common), ()):
+            pair = (s1, s2)
+            merged["".join(pair[side][i] for side, i in picks)] = fn(c1, c2)
+    return union_nodes, sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def toy_graph() -> Graph:

@@ -9,6 +9,8 @@ from dcqaoa import (
     random_graph,
     random_search,
 )
+from dcqaoa import baselines
+from dcqaoa.graphs import cut_values
 from dcqaoa.seeds import derive_seed
 from conftest import cycle_graph, graphs, k2, naive_cut_size, path_graph, triangle
 
@@ -44,7 +46,40 @@ def greedy_loop(g, seed, restarts):
     return "".join(str(b) for b in best_bits), best_cut, evaluations
 
 
+def one_shot_random_search(g, budget, seed):
+    """(assignment, cut) from one draw of all `budget` rows: the oracle for
+    the blocked draw in random_search."""
+    rows = np.zeros((budget, g.n), dtype=np.uint8)
+    if g.n > 1:
+        rows[:, 1:] = np.random.default_rng(seed).integers(
+            0, 2, size=(budget, g.n - 1), dtype=np.uint8
+        )
+    cuts = cut_values(g, rows)
+    best = int(np.argmax(cuts))
+    return "".join(str(b) for b in rows[best]), int(cuts[best])
+
+
 class TestRandomSearch:
+    @pytest.mark.parametrize("block", [4, 8, 12])
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 10])
+    @pytest.mark.parametrize("budget", [1, 5, 13, 30, 101])
+    def test_blocks_match_one_shot_oracle(self, monkeypatch, block, n, budget):
+        g = random_graph(n, 0.6, seed=n)
+        monkeypatch.setattr(baselines, "_SEARCH_BLOCK_ROWS", block)
+        result = random_search(g, budget=budget, seed=budget + n)
+        assert (result.best_assignment, result.best_cut) == one_shot_random_search(
+            g, budget, budget + n
+        )
+        assert result.evaluations == budget
+
+    def test_default_blocks_match_one_shot_oracle(self):
+        # 33 draws per row; with this seed the first best row lies in the second block
+        g = random_chain_graph(34, seed=2)
+        budget = 2 * baselines._SEARCH_BLOCK_ROWS + 7
+        result = random_search(g, budget=budget, seed=0)
+        assert (result.best_assignment, result.best_cut) == one_shot_random_search(g, budget, 0)
+
+
     def test_k2_small_budget_finds_cut(self):
         result = random_search(k2(), budget=10, seed=0)
         assert result.best_cut == 1

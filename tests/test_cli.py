@@ -132,6 +132,12 @@ class TestSolve:
         assert report["solution"]["nodes"] == list(range(300))
         assert report["metrics"]["best_sampled_cut"] == 0
 
+    def test_empty_graph_names_its_cause(self, tmp_path, capsys):
+        path = tmp_path / "empty.edges"
+        path.write_text("# no edges\n")
+        assert main(["solve", str(path), *FAST]) == 1
+        assert capsys.readouterr().err == "error: graph has no nodes\n"
+
     def test_out_file(self, tmp_path):
         path = write_toy(tmp_path)
         out = tmp_path / "report.json"
@@ -213,6 +219,11 @@ class TestThreadCount:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("DCQAOA_THREADS", raising=False)
         assert thread_count() >= 1
+
+    def test_non_integer_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DCQAOA_THREADS", "abc")
+        assert main(["compare", write_toy(tmp_path), "--k", "4", *FAST]) == 1
+        assert capsys.readouterr().err == "error: DCQAOA_THREADS must be an integer, got 'abc'\n"
 
     def test_floor_of_one(self, monkeypatch):
         monkeypatch.setenv("DCQAOA_THREADS", "0")

@@ -27,7 +27,13 @@ from dcqaoa import (
     random_graph,
     serialize_edge_list,
 )
-from dcqaoa.graphs import canonical_form, cut_values, index_rows, key_rows
+from dcqaoa.graphs import (
+    canonical_form,
+    cut_values,
+    index_rows,
+    key_rows,
+    row_strings,
+)
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -37,6 +43,7 @@ from conftest import (
     naive_cut_size,
     path_graph,
     relabelings,
+    string_sorted_by_count,
     toy_graph,
     triangle,
 )
@@ -309,6 +316,81 @@ class TestSolutionMap:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             SolutionMap((0, 1), {"01": -2})
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"01": 1, "1": 2},
+            {"00": 1, "011": 1},
+            {"02": 1},
+            {"0a": 1},
+            {"1\u00e9": 1},
+            {"10": 1, "11": -1},
+            {"01": 1.0},
+            {"01": "3"},
+            {"01": np.int64(3)},
+        ],
+    )
+    def test_dict_constructor_rejects(self, counts):
+        with pytest.raises(ValueError):
+            SolutionMap((0, 1), counts)
+
+    @pytest.mark.parametrize(
+        "counts", [{"010": 1}, {"0x": 1}, {"0\u00e9": 1}, {"01": -1}, {"01": "abc"}]
+    )
+    def test_from_dict_rejects(self, counts):
+        with pytest.raises(ValueError):
+            SolutionMap.from_dict({"nodes": [0, 1], "counts": counts})
+
+    def test_rejects_unsorted_nodes(self):
+        with pytest.raises(ValueError):
+            SolutionMap((1, 0), {"01": 1})
+
+    @pytest.mark.parametrize(
+        "rows, counts",
+        [
+            (np.zeros((2, 3), dtype=np.uint8), [1, 1]),  # width 3 over 2 nodes
+            (np.zeros((2, 2), dtype=np.uint8), [1]),  # one count for two rows
+            (np.zeros(2, dtype=np.uint8), [1]),  # not two-dimensional
+            (np.zeros((1, 2), dtype=np.int64), [1]),
+            (np.zeros((1, 2), dtype=bool), [1]),
+            (np.array([[0, 2]], dtype=np.uint8), [1]),
+            ([[0, 1]], [1]),
+        ],
+    )
+    def test_row_constructor_rejects(self, rows, counts):
+        with pytest.raises(ValueError):
+            SolutionMap.from_rows((0, 1), rows, counts)
+
+    def test_rows_and_strings_agree(self):
+        m = SolutionMap((0, 3, 7), {"011": 4, "100": 2, "000": 0})
+        assert m.rows.tolist() == [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
+        assert m.rows.dtype == np.uint8 and m.rows.flags.c_contiguous
+        assert not m.rows.flags.writeable
+        assert m.row_counts == [4, 2, 0]
+        rebuilt = SolutionMap.from_rows(m.nodes, np.asfortranarray(m.rows), m.row_counts)
+        assert rebuilt.entries() == m.entries()
+        assert rebuilt == m and rebuilt.rows.flags.c_contiguous
+
+    def test_zero_width_map(self):
+        m = SolutionMap((), {"": 5})
+        assert m.rows.shape == (1, 0)
+        assert m.sorted_by_count().entries() == [("", 5)]
+        assert row_strings(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+    def test_equality_ignores_entry_order(self):
+        a = SolutionMap((0, 1), {"01": 5, "10": 5})
+        assert a == SolutionMap((0, 1), {"10": 5, "01": 5})
+        assert a != SolutionMap((0, 1), {"01": 5, "10": 4})
+        assert a != SolutionMap((0, 2), {"01": 5, "10": 5})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_sorted_by_count_matches_string_oracle(self, n, data):
+        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40, unique=True))
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+        m = SolutionMap(tuple(range(n)), {format(b, f"0{n}b"): c for b, c in zip(keys, counts)})
+        assert m.sorted_by_count().entries() == string_sorted_by_count(m)
 
     def test_sorted_by_count_tie_break(self):
         m = SolutionMap((0, 1), {"10": 5, "01": 5, "00": 9})

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from dcqaoa import (
     AnsatzParams,
     SizeLimitError,
+    SolutionMap,
     apply_mixer_layer,
     build_initial_state,
     cut_size,
@@ -22,7 +23,16 @@ from dcqaoa import (
     sample_solution_map,
 )
 from dcqaoa.qaoa import apply_cost_phases
-from conftest import cycle_graph, graphs, k2, naive_cut_size, relabelings, toy_graph, triangle
+from conftest import (
+    cycle_graph,
+    graphs,
+    k2,
+    naive_cut_size,
+    relabelings,
+    string_sorted_by_count,
+    toy_graph,
+    triangle,
+)
 
 
 def dense_final_state(g, layers):
@@ -275,6 +285,17 @@ class TestSampling:
         m = sample_solution_map(triangle(), params, shots=2000, seed=9)
         counts = [c for _, c in m.entries()]
         assert counts == sorted(counts, reverse=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_nodes=9), st.integers(0, 10**6), st.integers(1, 3000))
+    def test_matches_format_loop_construction(self, g, seed, shots):
+        params = AnsatzParams(((0.7, 0.3), (1.9, 2.6)))
+        probs = np.abs(final_state(g, params)) ** 2
+        probs /= probs.sum()
+        draws = np.random.default_rng(seed).multinomial(shots, probs)
+        counts = {format(int(b), f"0{g.n}b"): int(draws[b]) for b in np.nonzero(draws)[0]}
+        expected = string_sorted_by_count(SolutionMap(g.nodes, counts))
+        assert sample_solution_map(g, params, shots, seed).entries() == expected
 
     def test_complement_symmetry_of_distribution(self, rng):
         g = random_graph(6, 0.5, seed=21)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from dcqaoa import (
     rerank_by_cut,
 )
 from dcqaoa.reconstruction import KL_SMOOTHING, SCHEMES
-from conftest import graphs, naive_cut_size, toy_graph, triangle
+from conftest import graphs, naive_cut_size, string_combine, toy_graph, triangle
 
 
 def toy_halves():
@@ -146,6 +147,76 @@ class TestCombine:
         assert counts == sorted(counts, reverse=True)
 
 
+@st.composite
+def solution_maps(draw, nodes, max_entries=12):
+    """Maps over `nodes` with small counts, so ties are common."""
+    n = len(nodes)
+    keys = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_entries, unique=True))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    return SolutionMap(nodes, {format(b, f"0{n}b"): c for b, c in zip(keys, counts)})
+
+
+@st.composite
+def map_pairs(draw, shared):
+    """(g1, g2, m1, m2) over two node sets that share nodes or are disjoint."""
+    universe = draw(st.lists(st.integers(0, 60), min_size=3, max_size=12, unique=True))
+    cut = draw(st.integers(1, len(universe) - 1))
+    nodes1, nodes2 = universe[:cut], universe[cut:]
+    if shared:
+        nodes2 = nodes2 + draw(
+            st.lists(st.sampled_from(nodes1), min_size=1, max_size=len(nodes1), unique=True)
+        )
+    g1 = Graph.from_edges([], nodes=nodes1)
+    g2 = Graph.from_edges([], nodes=nodes2)
+    return g1, g2, draw(solution_maps(g1.nodes)), draw(solution_maps(g2.nodes))
+
+
+def assert_matches_string_combine(g1, g2, m1, m2, scheme):
+    out = combine(g1, g2, m1, m2, scheme)
+    nodes, entries = string_combine(g1, g2, m1, m2, scheme)
+    assert out.nodes == nodes
+    assert out.entries() == entries
+
+
+class TestCombineOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(map_pairs(shared=True), st.sampled_from(sorted(SCHEMES)))
+    def test_shared_nodes_match_string_oracle(self, pair, scheme):
+        assert_matches_string_combine(*pair, scheme)
+
+    @settings(max_examples=80, deadline=None)
+    @given(map_pairs(shared=False), st.sampled_from(sorted(SCHEMES)))
+    def test_disjoint_nodes_match_string_oracle(self, pair, scheme):
+        g1, g2, m1, m2 = pair
+        assert_matches_string_combine(g1, g2, m1, m2, scheme)
+        assert len(combine(g1, g2, m1, m2, scheme).row_counts) == len(m1.counts) * len(m2.counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_pairs(shared=True), st.sampled_from(sorted(SCHEMES)))
+    def test_maps_disagreeing_on_every_pair_give_empty_map(self, pair, scheme):
+        g1, g2, m1, m2 = pair
+        # the first common node is 0 on every m1 row and 1 on every m2 row
+        node = next(v for v in g1.nodes if v in g2.index)
+        i1, i2 = g1.index[node], g2.index[node]
+        m1 = SolutionMap(g1.nodes, {a: c for a, c in m1.counts.items() if a[i1] == "0"})
+        m2 = SolutionMap(g2.nodes, {a: c for a, c in m2.counts.items() if a[i2] == "1"})
+        out = combine(g1, g2, m1, m2, scheme)
+        assert out.counts == {} and out.rows.shape == (0, len(out.nodes))
+        assert_matches_string_combine(g1, g2, m1, m2, scheme)
+
+    def test_minxmul_counts_beyond_int64_stay_exact(self):
+        g1, g2 = toy_halves()
+        big1, big2 = (1 << 22) + 3, (1 << 23) + 5
+        m1 = SolutionMap(g1.nodes, {"011": big1, "010": big1 - 1})
+        m2 = SolutionMap(g2.nodes, {"110": big2, "000": 7})
+        out = combine(g1, g2, m1, m2, "minXmul")
+        expected = big1 * big1 * big2
+        assert expected > 1 << 63
+        assert out.counts == {"01110": expected, "01000": 7 * 7 * (big1 - 1)}
+        assert all(type(c) is int for c in out.row_counts)
+        assert_matches_string_combine(g1, g2, m1, m2, "minXmul")
+
+
 def string_rerank_by_cut(g, m):
     """The per-string rerank that rerank_by_cut replaced: its oracle."""
     counts_desc = sorted(m.counts.values(), reverse=True)
@@ -165,6 +236,17 @@ class TestRerank:
         out = rerank_by_cut(g, m)
         assert out.entries() == string_rerank_by_cut(g, m).entries()
         assert sorted(out.counts.values()) == sorted(m.counts.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=8), st.data())
+    def test_matches_string_oracle_on_row_backed_maps(self, g, data):
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n * 30))
+        rows = np.array(bits[: len(bits) // g.n * g.n], dtype=np.uint8).reshape(-1, g.n)
+        rows = np.unique(rows, axis=0)[::-1]  # distinct rows, not in string order
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(rows), max_size=len(rows)))
+        m = SolutionMap.from_rows(g.nodes, rows, counts)
+        out = rerank_by_cut(g, m)
+        assert out.entries() == string_rerank_by_cut(g, m).entries()
 
     def test_fixed_point_when_already_aligned(self):
         m = SolutionMap((0, 1, 2), {"011": 90, "000": 10})
