@@ -1,8 +1,7 @@
 """Benchmark command line: gen | solve | sweep | compare.
 
 Exit codes: 0 success, 1 input/usage error, 2 solver infeasibility
-(connectivity above the qubit budget, failed reconstruction, partition tree
-deeper than the interpreter's recursion limit). The
+(connectivity above the qubit budget, failed reconstruction). The
 DCQAOA_THREADS environment variable sets the worker-pool size for sweep
 and compare rows; results are identical for any thread count because every
 row derives its own seed.
@@ -16,10 +15,8 @@ import io
 import os
 import sys
 import time
-import traceback
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .baselines import greedy_local_search, random_search
 from .errors import (
@@ -106,16 +103,15 @@ def thread_count() -> int:
 
 
 def _add_config_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--k", type=int, default=8, help="max qubit size per subproblem")
-    sp.add_argument("--p", type=int, default=3, help="circuit depth")
-    sp.add_argument("--t", type=int, default=20, help="retained top-t pairs per level")
-    sp.add_argument("--s", type=int, default=1000, help="samples / rescale target")
-    sp.add_argument(
-        "--scheme", choices=sorted(SCHEMES), default="minXmul", help="combination scheme"
-    )
-    sp.add_argument("--seed", type=int, default=0, help="master random seed")
-    sp.add_argument("--budget", type=int, default=200, help="optimizer evaluations per restart")
-    sp.add_argument("--restarts", type=int, default=5, help="optimizer restarts")
+    sp.set_defaults(**asdict(DcConfig()))
+    sp.add_argument("--k", type=int, help="max qubit size per subproblem")
+    sp.add_argument("--p", type=int, help="circuit depth")
+    sp.add_argument("--t", type=int, help="retained top-t pairs per level")
+    sp.add_argument("--s", type=int, help="samples / rescale target")
+    sp.add_argument("--scheme", choices=sorted(SCHEMES), help="combination scheme")
+    sp.add_argument("--seed", type=int, help="master random seed")
+    sp.add_argument("--budget", type=int, help="optimizer evaluations per restart")
+    sp.add_argument("--restarts", type=int, help="optimizer restarts")
     sp.add_argument(
         "--stable-output",
         action="store_true",
@@ -362,7 +358,7 @@ def _suite_paths(directory: str, seed: int) -> list[str]:
 
     Erdős–Rényi samples routinely embed long induced cycles, which the
     path-separator search cannot split, so the default suite uses the chain
-    family where the solver's precondition holds at every recursion level.
+    family where the solver's precondition holds at every level of the tree.
     """
     os.makedirs(directory, exist_ok=True)
     paths = []
@@ -392,17 +388,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _deepest_recursion(exc: RecursionError) -> tuple[str, int]:
-    """The function that recursed most in the traceback, and its frame count.
-
-    The solver and the report both recurse once per partition-tree level,
-    so the count is the tree depth reached when the limit was hit.
-    """
-    frames = Counter(frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__))
-    code, depth = frames.most_common(1)[0]
-    return code.co_name, depth
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -413,14 +398,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ConnectivityExceededError, ReconstructionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError as exc:
-        name, depth = _deepest_recursion(exc)
-        print(
-            f"infeasible: partition tree too deep: {name} reached depth {depth} "
-            f"before the interpreter's recursion limit of {sys.getrecursionlimit()}",
-            file=sys.stderr,
-        )
         return 2
     except (
         EdgeListParseError,

@@ -43,13 +43,13 @@ class ConnectivityExceededError(DcqaoaError):
 
 
 class ReconstructionError(DcqaoaError):
-    """Combining sub-solutions produced an empty map at some recursion level."""
+    """Combining sub-solutions produced an empty map at some tree depth."""
 
-    def __init__(self, level: int, nodes: tuple[int, ...], stage: str = "combine"):
-        self.level = level
+    def __init__(self, depth: int, nodes: tuple[int, ...], stage: str = "combine"):
+        self.depth = depth
         self.nodes = nodes
         self.stage = stage
         super().__init__(
-            f"empty solution map after {stage} at recursion level {level} "
+            f"empty solution map after {stage} at tree depth {depth} "
             f"(subproblem on {len(nodes)} nodes)"
         )

@@ -127,8 +127,9 @@ class SolutionMap:
     ``row_counts`` holds the r counts beside it as exact Python ints (products
     of weighted counts outgrow 64 bits on large graphs). Entry order is
     meaningful: producers that promise a sorted map emit entries in
-    non-increasing count order, ties broken by lexicographically smaller
-    assignment first.
+    non-increasing count order. Sampling, :meth:`sorted_by_count` and
+    ``combine`` break ties toward the lexicographically smaller assignment;
+    ``rerank_by_cut`` breaks them toward the larger cut.
 
     ``SolutionMap(nodes, {assignment: count})`` and :meth:`from_dict` validate
     outside input; :meth:`from_rows` builds maps from rows the package made.
@@ -458,7 +459,7 @@ def cut_size(g: Graph, assignment: str) -> int:
     return int(cut_values(g, key_rows([assignment]))[0])
 
 
-def brute_force_maxcut(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> tuple[int, set[str]]:
+def brute_force_maxcut(g: Graph) -> tuple[int, set[str]]:
     """Exhaustive MaxCut: (max cut, all optimal assignments incl. complements).
 
     Enumerates half the space by fixing the smallest node's bit to '0' and
@@ -468,8 +469,8 @@ def brute_force_maxcut(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> tuple[int, s
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no cut assignments")
-    if n > limit:
-        raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {limit}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {BRUTE_FORCE_LIMIT}")
     half = 1 << (n - 1)
     step = max(1, _CUT_BLOCK_ELEMENTS // n)
     cuts = np.empty(half, dtype=np.int64)

@@ -71,7 +71,7 @@ def nlgp(g: Graph, k: int) -> SeparationResult:
     empty path, which disconnects exactly the graphs that are already
     disconnected. The first candidate whose removal leaves c >= 2 components
     wins: the first c // 2 components, ascending by smallest member, form
-    one side and the rest the other, which keeps the recursion depth
+    one side and the rest the other, which keeps the tree depth
     logarithmic in the component count.
 
     Raises ConnectivityExceededError when no path of fewer than k nodes

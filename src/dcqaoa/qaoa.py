@@ -62,9 +62,9 @@ def cut_value_table(g: Graph) -> np.ndarray:
     return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.float64)
 
 
-def build_initial_state(n: int, cap: int = QUBIT_CAP) -> np.ndarray:
+def build_initial_state(n: int) -> np.ndarray:
     """Uniform superposition over n qubits."""
-    n = _check_qubits(n, cap)
+    n = _check_qubits(n)
     dim = 1 << n
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
@@ -193,11 +193,11 @@ def qaoa_maxcut(
     return sample_solution_map(g, params, shots, seed=derive_seed(seed, "sample"))
 
 
-def _check_qubits(n: int, cap: int = QUBIT_CAP) -> int:
+def _check_qubits(n: int) -> int:
     if n < 1:
         raise ValueError("need at least one qubit")
-    if n > cap:
-        raise SizeLimitError(f"{n} qubits exceeds the simulator cap of {cap}")
+    if n > QUBIT_CAP:
+        raise SizeLimitError(f"{n} qubits exceeds the simulator cap of {QUBIT_CAP}")
     return n
 
 

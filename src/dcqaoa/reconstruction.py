@@ -75,14 +75,15 @@ def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     Counteracts sampling noise: the largest counts land on the largest
     cuts. Support and count multiset are preserved; only the pairing
     changes. Ties on cut size break toward the lexicographically smaller
-    assignment.
+    assignment. Entries stay in that cut order, so a truncation that splits
+    a tie of counts keeps the larger cuts.
     """
     if not m.row_counts:
         raise ValueError("cannot rerank an empty solution map")
     by_row = lexicographic_order(m.rows)
     by_cut = by_row[np.argsort(-cut_values(g, m.rows)[by_row], kind="stable")]
     counts_desc = sorted(m.row_counts, reverse=True)
-    return m.take(by_cut.tolist(), counts_desc).sorted_by_count()
+    return m.take(by_cut.tolist(), counts_desc)
 
 
 def kl_divergence(p: SolutionMap, q: SolutionMap) -> float:

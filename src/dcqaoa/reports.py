@@ -18,7 +18,7 @@ from .graphs import (
 from .seeds import derive_seed
 from .solver import DcConfig, PartitionNode, tree_nrl
 
-RUN_REPORT_SCHEMA = "dcqaoa.run_report.v1"
+RUN_REPORT_SCHEMA = "dcqaoa.run_report.v2"
 REFERENCE_RESTARTS = 20
 
 

@@ -1,23 +1,24 @@
-"""Recursive divide-and-conquer MaxCut driver.
+"""Divide-and-conquer MaxCut driver.
 
 Graphs larger than the qubit budget are split at the first separator path
-that disconnects them (the empty path when already disconnected); each
-side is solved recursively and the two sampling distributions are merged
-under the combination criterion (a plain product when the sides share no
-node). Separator nodes with no edge on the second side are solved only on
-the first side. At every level the map is re-ranked by true cut size,
-truncated to the top-t entries, and rescaled to a fixed total count.
+that disconnects them (the empty path when already disconnected) until
+every piece fits; then the leaves are solved and the two sampling
+distributions of each split are merged under the combination criterion (a
+plain product when the sides share no node). Separator nodes with no edge
+on the second side are solved only on the first side. At every tree node
+the map is re-ranked by true cut size, truncated to the top-t entries, and
+rescaled to a fixed total count.
 
 Leaves of at most ANGLE_CACHE_MAX_NODES nodes share optimized angles within
-one solve: the first leaf of each isomorphism class (in the fixed recursion
-order) runs the optimizer, and later isomorphic leaves reuse its angles,
-which is exact because the QAOA expectation does not depend on node labels.
-Every leaf still samples its own distribution from its own seed.
+one solve: the first leaf of each isomorphism class (in pre-order) runs the
+optimizer, and later isomorphic leaves reuse its angles, which is exact
+because the QAOA expectation does not depend on node labels. Every leaf
+still samples its own distribution from its own seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import qaoa
 from .errors import ReconstructionError
@@ -63,7 +64,7 @@ class DcConfig:
 
 @dataclass
 class PartitionNode:
-    """One node of the recursive partition tree."""
+    """One node of the partition tree."""
 
     nodes: tuple[int, ...]
     separator: tuple[int, ...] = ()
@@ -73,30 +74,36 @@ class PartitionNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaves(self) -> list["PartitionNode"]:
-        if self.is_leaf:
-            return [self]
+    def preorder(self) -> list["PartitionNode"]:
+        """This node and its descendants: parents before children, first child first."""
         out: list[PartitionNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            out.append(node)
+            todo.extend(reversed(node.children))
         return out
 
+    def leaves(self) -> list["PartitionNode"]:
+        return [node for node in self.preorder() if node.is_leaf]
+
     def count(self) -> int:
-        return 1 + sum(child.count() for child in self.children)
+        return len(self.preorder())
 
-    def split_nrl(self) -> float | None:
-        if self.is_leaf:
-            return None
-        duplicated = sum(len(c.nodes) for c in self.children)
-        return duplicated / len(self.nodes)
-
-    def to_dict(self) -> dict:
-        payload: dict = {"nodes": list(self.nodes)}
-        if not self.is_leaf:
-            payload["separator"] = list(self.separator)
-            payload["split_nrl"] = self.split_nrl()
-            payload["children"] = [c.to_dict() for c in self.children]
-        return payload
+    def to_dict(self) -> list[dict]:
+        """The tree as a pre-order list; ``children`` holds list indices."""
+        nodes = self.preorder()
+        position = {id(node): i for i, node in enumerate(nodes)}
+        out = []
+        for node in nodes:
+            payload: dict = {"nodes": list(node.nodes)}
+            if not node.is_leaf:
+                payload["separator"] = list(node.separator)
+                # node redundancy of the split: child sizes over this node's size
+                payload["split_nrl"] = sum(len(c.nodes) for c in node.children) / len(node.nodes)
+                payload["children"] = [position[id(c)] for c in node.children]
+            out.append(payload)
+        return out
 
 
 def weight_map(m: SolutionMap) -> SolutionMap:
@@ -125,16 +132,62 @@ def rescale(m: SolutionMap, s: int) -> SolutionMap:
 
 
 def dc_qaoa(g: Graph, cfg: DcConfig) -> SolutionMap:
-    """Solve MaxCut by recursive partition, QAOA on the leaves, and merge."""
+    """Solve MaxCut by partition, QAOA on the leaves, and merge."""
     solution, _ = dc_qaoa_traced(g, cfg)
     return solution
 
 
 def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]:
-    """Like dc_qaoa but also returns the partition tree for reporting."""
+    """Like dc_qaoa but also returns the partition tree for reporting.
+
+    Splits the whole tree into one pre-order list first, so a partition
+    failure raises before any QAOA runs; then solves the leaves in list
+    order and merges from the end of the list, where each split finds its
+    children's maps on top of a stack. No pass recurses, so any depth works.
+    """
     if g.n == 0:
         raise ValueError("graph has no nodes")
-    return _solve(g, cfg, level=0, angles={})
+    root = PartitionNode(nodes=g.nodes)
+    order: list[tuple[PartitionNode, Graph, int, int]] = []
+    todo = [(root, g, cfg.seed, 0)]
+    while todo:
+        node, sub, seed, depth = todo.pop()
+        order.append((node, sub, seed, depth))
+        if sub.n <= cfg.k:
+            continue
+        split = nlgp(sub, cfg.k)
+        g1, g2 = split.subgraphs
+        # g1 holds the separator-internal edges and fixes every separator bit,
+        # so g2 drops the separator nodes left without an edge on its side
+        edgeless = [v for v in split.separator if not g2.adjacency[v]]
+        if edgeless:
+            g2 = Graph(nodes=tuple(v for v in g2.nodes if v not in edgeless), edges=g2.edges)
+        node.separator = split.separator
+        node.children = [PartitionNode(nodes=g1.nodes), PartitionNode(nodes=g2.nodes)]
+        # g1 goes on top, so its whole subtree comes next in pre-order
+        todo += [(child, part, derive_seed(seed, "child", part.nodes), depth + 1)
+                 for child, part in zip(node.children[::-1], (g2, g1))]
+
+    angles: AngleCache = {}
+    maps = [_solve_leaf(sub, seed, cfg, angles) for node, sub, seed, _ in order if node.is_leaf]
+
+    done: list[tuple[Graph, SolutionMap]] = []
+    while order:
+        node, sub, _, depth = order.pop()
+        if node.is_leaf:
+            out = maps.pop()
+        else:
+            (g1, m1), (g2, m2) = done.pop(), done.pop()
+            out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
+            if not out.row_counts:
+                raise ReconstructionError(depth, sub.nodes, stage="combine")
+        out = rerank_by_cut(sub, out)
+        out = abridge(out, cfg.t)
+        out = rescale(out, cfg.s)
+        if not out.row_counts:
+            raise ReconstructionError(depth, sub.nodes, stage="rescale")
+        done.append((sub, out))
+    return done[0][1], root
 
 
 def tree_nrl(g: Graph, tree: PartitionNode) -> float:
@@ -143,42 +196,9 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
     return nrl(g, leaf_graphs)
 
 
-def _solve(
-    g: Graph, cfg: DcConfig, level: int, angles: AngleCache
-) -> tuple[SolutionMap, PartitionNode]:
-    if g.n <= cfg.k:
-        out = _solve_leaf(g, cfg, angles)
-        node = PartitionNode(nodes=g.nodes)
-    else:
-        split = nlgp(g, cfg.k)
-        g1, g2 = split.subgraphs
-        # g1 holds the separator-internal edges and fixes every separator bit,
-        # so g2 drops the separator nodes left without an edge on its side
-        edgeless = [v for v in split.separator if not g2.adjacency[v]]
-        if edgeless:
-            g2 = Graph(nodes=tuple(v for v in g2.nodes if v not in edgeless), edges=g2.edges)
-        m1, node1 = _solve(
-            g1, replace(cfg, seed=derive_seed(cfg.seed, "child", g1.nodes)), level + 1, angles
-        )
-        m2, node2 = _solve(
-            g2, replace(cfg, seed=derive_seed(cfg.seed, "child", g2.nodes)), level + 1, angles
-        )
-        out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
-        if not out.row_counts:
-            raise ReconstructionError(level, g.nodes, stage="combine")
-        node = PartitionNode(nodes=g.nodes, separator=split.separator, children=[node1, node2])
-
-    out = rerank_by_cut(g, out)
-    out = abridge(out, cfg.t)
-    out = rescale(out, cfg.s)
-    if not out.row_counts:
-        raise ReconstructionError(level, g.nodes, stage="rescale")
-    return out, node
-
-
-def _solve_leaf(g: Graph, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
+def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
     """QAOA on one leaf: optimize (or reuse an isomorphic leaf's angles), then sample."""
-    seed = derive_seed(cfg.seed, "leaf", g.nodes)
+    seed = derive_seed(seed, "leaf", g.nodes)
     key = canonical_form(g) if g.n <= ANGLE_CACHE_MAX_NODES else None
     params = angles.get(key)
     if params is None:

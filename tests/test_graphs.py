@@ -216,7 +216,7 @@ class TestBruteForce:
 
     def test_limit_refusal(self):
         with pytest.raises(SizeLimitError):
-            brute_force_maxcut(path_graph(30), limit=24)
+            brute_force_maxcut(path_graph(30))
 
     def test_at_least_half_the_edges(self, rng):
         for _ in range(15):

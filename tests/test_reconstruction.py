@@ -9,6 +9,7 @@ from scipy.stats import entropy
 from dcqaoa import (
     Graph,
     SolutionMap,
+    abridge,
     combine,
     kl_divergence,
     nlgp,
@@ -221,7 +222,7 @@ def string_rerank_by_cut(g, m):
     """The per-string rerank that rerank_by_cut replaced: its oracle."""
     counts_desc = sorted(m.counts.values(), reverse=True)
     strings_by_cut = sorted(m.counts, key=lambda a: (-naive_cut_size(g, a), a))
-    return SolutionMap(m.nodes, dict(zip(strings_by_cut, counts_desc))).sorted_by_count()
+    return SolutionMap(m.nodes, dict(zip(strings_by_cut, counts_desc)))
 
 
 class TestRerank:
@@ -255,6 +256,12 @@ class TestRerank:
     def test_swaps_misranked_counts(self):
         m = SolutionMap((0, 1, 2), {"000": 90, "011": 10})
         assert rerank_by_cut(triangle(), m).counts == {"011": 90, "000": 10}
+
+    def test_equal_counts_stay_in_cut_order(self):
+        m = SolutionMap((0, 1, 2), {"000": 5, "011": 5})
+        out = rerank_by_cut(triangle(), m)
+        assert out.entries() == [("011", 5), ("000", 5)]
+        assert abridge(out, 1).counts == {"011": 5}
 
     def test_count_multiset_preserved(self, rng):
         g = toy_graph()

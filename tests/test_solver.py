@@ -25,7 +25,7 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from conftest import forests, graphs, isomorphic, toy_graph
+from conftest import complete_graph, forests, graphs, isomorphic, relabel, toy_graph, triangle
 
 
 class TestWeightMap:
@@ -139,6 +139,22 @@ class TestDcQaoa:
             assert sol.total() >= 1
             assert best_sampled_cut(g, sol) == best
 
+    def test_partition_fails_before_any_leaf_is_optimized(self, monkeypatch):
+        # the triangle side is a leaf; the K5 side cannot split below k = 4
+        k5 = relabel(complete_graph(5), {v: v + 10 for v in range(5)})
+        g = Graph.from_edges([*triangle().edges, *k5.edges])
+        calls = []
+        real_optimize = qaoa.optimize_params
+
+        def counting_optimize(*args, **kwargs):
+            calls.append(args[0])
+            return real_optimize(*args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "optimize_params", counting_optimize)
+        with pytest.raises(ConnectivityExceededError):
+            dc_qaoa(g, DcConfig(k=4, seed=1, budget=10, restarts=1))
+        assert calls == []
+
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_nodes=9), st.integers(2, 4))
     def test_any_graph_solves_or_fails_cleanly(self, g, k):
@@ -214,7 +230,8 @@ class TestAngleCache:
         cfg = DcConfig(k=k, s=1000, t=20, seed=6, budget=60, restarts=2)
         _, tree = dc_qaoa_traced(g, cfg)
 
-        assert len(sampled) == len(tree.leaves())
+        # leaves are solved in the tree's pre-order
+        assert [leaf.nodes for leaf, _ in sampled] == [leaf.nodes for leaf in tree.leaves()]
         # first leaf of each class, in solve order; leaves above 6 nodes are never shared
         firsts: list = []
         for leaf, params in sampled:
@@ -265,6 +282,11 @@ class TestPartitionTree:
         cfg = DcConfig(k=4, seed=2, budget=40, restarts=1)
         _, tree = dc_qaoa_traced(toy_graph(), cfg)
         payload = tree.to_dict()
-        assert payload["separator"] == [2]
-        assert len(payload["children"]) == 2
-        assert payload["split_nrl"] == pytest.approx(1.2)
+        assert len(payload) == 3
+        assert payload[0]["separator"] == [2]
+        assert payload[0]["children"] == [1, 2]
+        assert payload[0]["split_nrl"] == pytest.approx(1.2)
+        assert [entry["nodes"] for entry in payload[1:]] == [
+            list(child.nodes) for child in tree.children
+        ]
+        assert all("children" not in entry for entry in payload[1:])
