@@ -4,7 +4,10 @@ Basis convention: index b of the amplitude array corresponds to the
 assignment bitstring ``format(b, f"0{n}b")``, i.e. bit position 0 (the
 smallest node) is the most significant bit. The cost layer is applied as a
 single diagonal phase multiply using the precomputed per-basis cut value,
-which equals the per-edge two-qubit phase circuit up to global phase.
+which equals the per-edge two-qubit phase circuit up to global phase. A cut
+value is an integer in 0..|E|, so the layer evaluates one phase per distinct
+cut value and gathers it by the table. The mixer is one whole-array step
+per qubit.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ class AnsatzParams:
 
 
 def cut_value_table(g: Graph) -> np.ndarray:
-    """Cut size of every basis state, indexed per the MSB-first convention."""
+    """Integer cut size of every basis state, indexed per the MSB-first convention."""
     n = _check_qubits(g.n)
-    return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.float64)
+    return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.intp)
 
 
 def build_initial_state(n: int) -> np.ndarray:
@@ -70,24 +73,34 @@ def build_initial_state(n: int) -> np.ndarray:
 
 
 def apply_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Phase e^(-i*gamma*table[b]) on each basis amplitude; table is cut_value_table(g)."""
+    """Phase e^(-i*gamma*table[b]) on each basis amplitude; table is cut_value_table(g).
+
+    The table holds non-negative integers, so the phase is evaluated once per
+    value 0..max(table) and gathered by the table.
+    """
     if state.shape != table.shape:
         raise ValueError("state and cut table dimensions differ")
-    return state * np.exp(-1j * gamma * table)
+    if not np.issubdtype(table.dtype, np.integer):
+        raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
+    if table.min() < 0:
+        raise ValueError("cut table holds a negative entry")
+    phases = np.exp(-1j * gamma * np.arange(table.max() + 1, dtype=np.float64))
+    return state * phases[table]
 
 
 def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """R_X(2*beta) on every qubit."""
+    """R_X(2*beta) on every qubit, one whole-array step per qubit.
+
+    Qubit q pairs the halves of axis 1 of a (2^q, 2, rest) view: each half
+    becomes cos(beta) times itself plus -i*sin(beta) times the other half.
+    """
     n = _qubits_of(state)
-    out = state.copy()
+    out = state
     c = math.cos(beta)
     s = -1j * math.sin(beta)
     for q in range(n):
         view = out.reshape(1 << q, 2, -1)
-        top = view[:, 0, :].copy()
-        bottom = view[:, 1, :]
-        view[:, 0, :] = c * top + s * bottom
-        view[:, 1, :] = c * bottom + s * top
+        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
     return out
 
 

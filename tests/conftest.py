@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -68,6 +69,28 @@ def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, schem
             pair = (s1, s2)
             merged["".join(pair[side][i] for side, i in picks)] = fn(c1, c2)
     return union_nodes, sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def float_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """One complex exponential per basis state over a float cut table: the
+    oracle for qaoa.apply_cost_phases."""
+    return state * np.exp(-1j * gamma * table.astype(np.float64))
+
+
+def loop_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
+    """Half-array updates of a copy, qubit by qubit: the oracle for
+    qaoa.apply_mixer_layer."""
+    n = (len(state) - 1).bit_length()
+    out = state.copy()
+    c = math.cos(beta)
+    s = -1j * math.sin(beta)
+    for q in range(n):
+        view = out.reshape(1 << q, 2, -1)
+        top = view[:, 0, :].copy()
+        bottom = view[:, 1, :]
+        view[:, 0, :] = c * top + s * bottom
+        view[:, 1, :] = c * bottom + s * top
+    return out
 
 
 def toy_graph() -> Graph:

@@ -22,11 +22,13 @@ from dcqaoa import (
     random_graph,
     sample_solution_map,
 )
-from dcqaoa.qaoa import apply_cost_phases
+from dcqaoa.qaoa import _evolve, _expectation_of, apply_cost_phases
 from conftest import (
     cycle_graph,
+    float_cost_phases,
     graphs,
     k2,
+    loop_mixer_layer,
     naive_cut_size,
     relabelings,
     string_sorted_by_count,
@@ -99,6 +101,19 @@ def grid_best(g, steps=100):
     return best
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 components (signed zeros compare equal)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def random_state(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+wide_angles = st.floats(-20.0, 20.0)
+
+
 class TestInitialState:
     def test_one_qubit(self):
         state = build_initial_state(1)
@@ -139,6 +154,28 @@ class TestCostLayer:
         for b in range(1 << 6):
             assert table[b] == naive_cut_size(g, format(b, "06b"))
 
+    def test_table_is_integer(self):
+        assert cut_value_table(triangle()).dtype == np.intp
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_nodes=10), wide_angles, st.integers(0, 2**32 - 1))
+    def test_matches_float_table_oracle_bit_for_bit(self, g, gamma, seed):
+        table = cut_value_table(g)
+        state = random_state(g.n, seed)
+        assert same_bits(apply_cost_phases(state, table, gamma), float_cost_phases(state, table, gamma))
+
+    def test_float_table_is_refused(self):
+        state = build_initial_state(3)
+        with pytest.raises(ValueError, match="integer dtype"):
+            apply_cost_phases(state, cut_value_table(triangle()).astype(np.float64), 0.3)
+
+    def test_negative_entry_is_refused(self):
+        state = build_initial_state(3)
+        table = cut_value_table(triangle())
+        table[5] = -1
+        with pytest.raises(ValueError, match="negative"):
+            apply_cost_phases(state, table, 0.3)
+
 
 class TestMixerLayer:
     def test_zero_angle_identity(self):
@@ -159,8 +196,34 @@ class TestMixerLayer:
         out = apply_mixer_layer(state, 0.37)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), wide_angles, st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle_bit_for_bit(self, n, beta, seed):
+        state = random_state(n, seed)
+        before = state.copy()
+        assert same_bits(apply_mixer_layer(state, beta), loop_mixer_layer(state, beta))
+        assert same_bits(state, before)
+
 
 angles = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi))
+
+
+class TestEvolution:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graphs(max_nodes=10),
+        st.lists(st.tuples(wide_angles, wide_angles), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_kernels_bit_for_bit(self, g, layers, seed):
+        table = cut_value_table(g)
+        state = random_state(g.n, seed)
+        expected = state
+        for gamma, beta in layers:
+            expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
+        ours = _evolve(state, table, layers)
+        assert same_bits(ours, expected)
+        assert _expectation_of(ours, table) == _expectation_of(expected, table.astype(np.float64))
 
 
 class TestExpectation:
