@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable
 
 import hashlib
@@ -103,20 +102,25 @@ class Graph:
         return hashlib.sha256(serialize_edge_list(self).encode("utf-8")).hexdigest()
 
 
-def canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Exact isomorphism-class key: node count plus the smallest edge tuple.
+def refined_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Isomorphism key: node count plus the edges under a colour-refined order.
 
-    Tries every relabeling of the bit positions 0..n-1 and keeps the
-    lexicographically smallest sorted edge tuple, so two graphs get the same
-    key exactly when they are isomorphic. Costs n! relabelings; callers keep
-    n small.
+    Colour refinement starts every node at colour 0 and gives it, each round,
+    the rank of (its colour, its neighbours' sorted colours) among the
+    distinct such signatures, until a round adds no class. Nodes are then
+    numbered by (colour, label), so a form is g relabelled and equal forms
+    imply isomorphic graphs. The converse holds when every class is a single
+    node; tied nodes keep label order (paths 0-1-2-3 and 0-2-1-3 differ).
     """
-    positions = g.edge_positions.tolist()
-    best = min(
-        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in positions))
-        for p in permutations(range(g.n))
-    )
-    return g.n, best
+    adjacency, colour = g.adjacency, dict.fromkeys(g.nodes, 0)
+    while True:
+        sig = {v: (colour[v], tuple(sorted(colour[w] for w in nb))) for v, nb in adjacency.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        if len(rank) == len(set(colour.values())):
+            break
+        colour = {v: rank[s] for v, s in sig.items()}
+    label = {v: i for i, v in enumerate(sorted(g.nodes, key=lambda v: (colour[v], v)))}
+    return g.n, tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in g.edges))
 
 
 class SolutionMap:

@@ -25,6 +25,7 @@ from .seeds import derive_seed
 QUBIT_CAP = 20
 DEFAULT_RESTARTS = 5
 DEFAULT_BUDGET = 200
+MAX_SHOTS = 2**63 - 1  # the most draws numpy's multinomial sampler takes
 _EV_TOL = 1e-4
 
 
@@ -177,8 +178,8 @@ def optimize_params(
 
 def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -> SolutionMap:
     """Seeded measurement of the final state, sorted by count descending."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
     n = g.n
     table = cut_value_table(g)
     state = _evolve(build_initial_state(n), table, params.layers)

@@ -9,11 +9,11 @@ on the second side are solved only on the first side. At every tree node
 the map is re-ranked by true cut size, truncated to the top-t entries, and
 rescaled to a fixed total count.
 
-Leaves of at most ANGLE_CACHE_MAX_NODES nodes share optimized angles within
-one solve: the first leaf of each isomorphism class (in pre-order) runs the
-optimizer, and later isomorphic leaves reuse its angles, which is exact
-because the QAOA expectation does not depend on node labels. Every leaf
-still samples its own distribution from its own seed.
+Leaves share optimized angles within one solve: the first leaf of each
+``graphs.refined_form`` key (in pre-order) runs the optimizer, and later
+leaves with that key reuse its angles. Equal keys imply isomorphic leaves,
+whose QAOA expectations are equal, so sharing is exact. Every leaf still
+samples its own distribution from its own seed.
 """
 
 from __future__ import annotations
@@ -22,16 +22,14 @@ from dataclasses import dataclass, field
 
 from . import qaoa
 from .errors import ReconstructionError
-from .graphs import Graph, SolutionMap, canonical_form
+from .graphs import Graph, SolutionMap, refined_form
 from .partition import nlgp, nrl
-from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, AnsatzParams
+from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, MAX_SHOTS, AnsatzParams
 from .reconstruction import combine, rerank_by_cut, scheme_function
 from .seeds import derive_seed
 
 
-ANGLE_CACHE_MAX_NODES = 6
-
-# Optimized angles of one solve, keyed by the leaf's canonical form.
+# Optimized angles of one solve, keyed by the leaf's refined form.
 AngleCache = dict[tuple, AnsatzParams]
 
 
@@ -53,8 +51,8 @@ class DcConfig:
             raise ValueError("k must be >= 2")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+        if not 1 <= self.s <= MAX_SHOTS:
+            raise ValueError(f"s must be in 1..{MAX_SHOTS}")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.budget < 1 or self.restarts < 1:
@@ -199,12 +197,9 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
 def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
     """QAOA on one leaf: optimize (or reuse an isomorphic leaf's angles), then sample."""
     seed = derive_seed(seed, "leaf", g.nodes)
-    key = canonical_form(g) if g.n <= ANGLE_CACHE_MAX_NODES else None
-    params = angles.get(key)
-    if params is None:
-        params, _ = qaoa.optimize_params(
+    key = refined_form(g)
+    if key not in angles:
+        angles[key], _ = qaoa.optimize_params(
             g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
         )
-        if key is not None:
-            angles[key] = params
-    return qaoa.sample_solution_map(g, params, cfg.s, seed=derive_seed(seed, "sample"))
+    return qaoa.sample_solution_map(g, angles[key], cfg.s, seed=derive_seed(seed, "sample"))

@@ -143,6 +143,18 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def brute_force_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Exact isomorphism-class key: node count plus the smallest edge tuple
+    over all n! relabelings of the bit positions. The oracle for
+    graphs.refined_form."""
+    positions = g.edge_positions.tolist()
+    best = min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in positions))
+        for p in permutations(range(g.n))
+    )
+    return g.n, best
+
+
 @st.composite
 def graphs(draw, max_nodes=6, edge_count=None, nodes=None):
     """Simple graphs on distinct arbitrary labels, possibly with isolated nodes."""

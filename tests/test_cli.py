@@ -1,6 +1,7 @@
 import json
 import sys
 
+import pytest
 
 from dcqaoa.cli import main, thread_count
 from dcqaoa.graphs import load_graph, random_chain_graph, save_graph
@@ -143,6 +144,12 @@ class TestSolve:
         assert main(["solve", str(path), *FAST]) == 1
         assert capsys.readouterr().err == "error: graph has no nodes\n"
 
+    def test_largest_s_solves(self, tmp_path):
+        # the most draws numpy's multinomial sampler takes; one more is a
+        # row of test_bad_input_is_a_one_line_error
+        path = write_toy(tmp_path)
+        assert main(["solve", path, "--k", "4", "--s", str(2**63 - 1), *FAST]) == 0
+
     def test_out_file(self, tmp_path):
         path = write_toy(tmp_path)
         out = tmp_path / "report.json"
@@ -180,6 +187,13 @@ class TestSweep:
         k5_row = next(r for r in rows if r.startswith("k,5"))
         assert "ConnectivityExceededError" in k4_row
         assert "ConnectivityExceededError" not in k5_row
+
+    def test_s_above_the_sampler_limit_is_tagged(self, tmp_path, capsys):
+        path = write_toy(tmp_path)
+        assert main(["sweep", path, "--axis", "s", "--values", f"100,{2**63}", "--k", "4", *FAST]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert "ValueError" not in next(r for r in rows if r.startswith("s,100,"))
+        assert "ValueError: s must be in" in next(r for r in rows if r.startswith(f"s,{2**63},"))
 
     def test_bad_values_rejected(self, tmp_path):
         path = write_toy(tmp_path)
@@ -237,3 +251,28 @@ class TestThreadCount:
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+TOY_EDGES = b"0 1\n0 2\n1 2\n2 3\n3 4\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, flags",
+    [
+        ("solve", b"", []),
+        ("solve", b"\xff\xfe 1\n", []),
+        ("solve", b"0 0\n", []),
+        ("solve", b"-1 2\n", []),
+        ("solve", TOY_EDGES, ["--k", "1"]),
+        ("solve", TOY_EDGES, ["--t", "0"]),
+        ("solve", TOY_EDGES, ["--s", "0"]),
+        ("solve", TOY_EDGES, ["--s", str(2**63)]),
+        ("sweep", TOY_EDGES, ["--axis", "s", "--values", "x"]),
+    ],
+    ids=["empty", "undecodable", "self-loop", "negative", "k1", "t0", "s0", "s2^63", "values-x"],
+)
+def test_bad_input_is_a_one_line_error(tmp_path, capsys, command, content, flags):
+    path = tmp_path / "g.edges"
+    path.write_bytes(content)
+    assert main([command, str(path), *flags, *FAST]) in (1, 2)
+    assert len(capsys.readouterr().err.splitlines()) == 1

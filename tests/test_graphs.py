@@ -1,4 +1,5 @@
 
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -28,13 +29,14 @@ from dcqaoa import (
     serialize_edge_list,
 )
 from dcqaoa.graphs import (
-    canonical_form,
     cut_values,
     index_rows,
     key_rows,
+    refined_form,
     row_strings,
 )
 from conftest import (
+    brute_force_form,
     complete_graph,
     cycle_graph,
     graphs,
@@ -42,6 +44,7 @@ from conftest import (
     k2,
     naive_cut_size,
     path_graph,
+    relabel,
     relabelings,
     string_sorted_by_count,
     toy_graph,
@@ -425,23 +428,44 @@ def same_size_pairs(draw):
     return g, h
 
 
-class TestCanonicalForm:
+def form_graph(form) -> Graph:
+    n, edges = form
+    return Graph.from_edges(edges, nodes=range(n))
+
+
+class TestRefinedForm:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_invariant_under_relabeling(self, data):
+    def test_form_is_a_relabeling(self, data):
         g = data.draw(graphs())
         h = data.draw(relabelings(g))
-        assert canonical_form(h) == canonical_form(g)
+        for graph in (g, h):
+            assert brute_force_form(form_graph(refined_form(graph))) == brute_force_form(graph)
+        assert refined_form(g) != refined_form(h) or brute_force_form(g) == brute_force_form(h)
 
     @settings(max_examples=60, deadline=None)
     @given(same_size_pairs())
     @example((cycle_graph(6), Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
-    def test_equal_exactly_when_isomorphic(self, pair):
+    def test_equal_forms_imply_isomorphic(self, pair):
         g, h = pair
-        assert (canonical_form(g) == canonical_form(h)) == isomorphic(g, h)
+        assert refined_form(g) != refined_form(h) or brute_force_form(g) == brute_force_form(h)
 
     def test_isolated_nodes_count(self):
-        assert canonical_form(k2()) != canonical_form(Graph.from_edges([(0, 1)], nodes=[2]))
+        assert refined_form(k2()) != refined_form(Graph.from_edges([(0, 1)], nodes=[2]))
+
+    def test_separated_nodes_give_one_form_per_class(self):
+        # the spider with legs of 1, 2 and 3 edges has no automorphism, and
+        # refinement gives each of its nodes a class of its own
+        spider = Graph.from_edges([(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        forms = {refined_form(relabel(spider, dict(enumerate(p)))) for p in permutations(range(7))}
+        assert len(forms) == 1
+
+    def test_tied_nodes_keep_label_order(self):
+        # isomorphic paths whose tied middle nodes come in different label order
+        path = path_graph(4)
+        swapped = Graph.from_edges([(0, 2), (2, 1), (1, 3)])
+        assert isomorphic(path, swapped)
+        assert refined_form(path) != refined_form(swapped)
 
 
 def test_best_sampled_cut_empty_map():

@@ -337,6 +337,14 @@ class TestSampling:
         m = sample_solution_map(k2(), params, shots=1000, seed=3)
         assert set(m.counts) <= {"01", "10"}
 
+    def test_shot_limits(self):
+        params = AnsatzParams(((0.7, 0.3),))
+        most = sample_solution_map(triangle(), params, shots=2**63 - 1, seed=6)
+        assert most.total() == 2**63 - 1
+        for shots in (0, 2**63):
+            with pytest.raises(ValueError):
+                sample_solution_map(triangle(), params, shots=shots, seed=6)
+
     def test_deterministic(self):
         params, _ = optimize_params(triangle(), p=1, seed=5)
         a = sample_solution_map(triangle(), params, shots=500, seed=17)

@@ -25,7 +25,18 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from conftest import complete_graph, forests, graphs, isomorphic, relabel, toy_graph, triangle
+from dcqaoa.graphs import refined_form
+from conftest import (
+    brute_force_form,
+    complete_graph,
+    cycle_graph,
+    forests,
+    graphs,
+    isomorphic,
+    relabel,
+    toy_graph,
+    triangle,
+)
 
 
 class TestWeightMap:
@@ -204,12 +215,32 @@ class TestDcQaoa:
         assert means[1] >= means[0] - 1e-9
 
 
+def c7_with_chords() -> Graph:
+    return Graph.from_edges([*cycle_graph(7).edges, (0, 2), (1, 4)])
+
+
+def glued_c7_pair() -> Graph:
+    """Two copies of C7 plus chords (0, 2) and (1, 4), sharing node 6; the
+    second copy's labels put its nodes in another order."""
+    second = relabel(c7_with_chords(), {0: 6, 1: 9, 2: 7, 3: 12, 4: 8, 5: 11, 6: 10})
+    return Graph.from_edges([*c7_with_chords().edges, *second.edges])
+
+
+def group_by(items, key) -> set[frozenset[int]]:
+    """The partition of item indices into classes of equal key."""
+    classes: dict = {}
+    for i, item in enumerate(items):
+        classes.setdefault(key(item), set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
 class TestAngleCache:
     @pytest.mark.parametrize(
         "g, k",
         [
             (random_chain_graph(100, seed=2), 8),  # K2/K3/K4 leaves, most repeated
             (toy_graph(), 4),  # a triangle and a 3-node path: same size, not isomorphic
+            (glued_c7_pair(), 7),  # two isomorphic 7-node leaves
         ],
     )
     def test_optimizer_runs_once_per_leaf_class(self, monkeypatch, g, k):
@@ -232,10 +263,14 @@ class TestAngleCache:
 
         # leaves are solved in the tree's pre-order
         assert [leaf.nodes for leaf, _ in sampled] == [leaf.nodes for leaf in tree.leaves()]
-        # first leaf of each class, in solve order; leaves above 6 nodes are never shared
+        # leaves given the same angles object are isomorphic
+        for i, (leaf, params) in enumerate(sampled):
+            for other, other_params in sampled[:i]:
+                assert params is not other_params or isomorphic(leaf, other)
+        # first leaf of each class, in solve order
         firsts: list = []
         for leaf, params in sampled:
-            rep = next((f for f in firsts if leaf.n <= 6 and isomorphic(leaf, f[0])), None)
+            rep = next((f for f in firsts if isomorphic(leaf, f[0])), None)
             if rep is None:
                 firsts.append((leaf, params))
             else:
@@ -245,6 +280,20 @@ class TestAngleCache:
         # a second solve starts from an empty cache
         dc_qaoa(g, cfg)
         assert len(optimized) == 2 * len(firsts)
+
+    @pytest.mark.parametrize("n", [100, 300, 768])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refined_forms_group_chain_leaves_as_the_oracle(self, monkeypatch, n, seed):
+        leaves = []
+        real_sample = qaoa.sample_solution_map
+
+        def recording_sample(g, *args, **kwargs):
+            leaves.append(g)
+            return real_sample(g, *args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
+        dc_qaoa_traced(random_chain_graph(n, seed), DcConfig(k=8, seed=1, budget=20, restarts=1))
+        assert group_by(leaves, refined_form) == group_by(leaves, brute_force_form)
 
 
 class TestDcConfig:
@@ -263,6 +312,7 @@ class TestDcConfig:
             {"budget": 0},
             {"restarts": 0},
             {"scheme": "max"},
+            {"s": 2**63},  # above the most draws numpy's multinomial sampler takes
         ],
     )
     def test_validation(self, kwargs):
