@@ -1,6 +1,6 @@
 """Divide-and-conquer QAOA MaxCut solver with classical baselines."""
 
-from .baselines import BaselineResult, greedy_local_search, random_search
+from .baselines import greedy_local_search, random_search
 from .errors import (
     ConnectivityExceededError,
     DcqaoaError,
@@ -13,30 +13,20 @@ from .errors import (
 from .graphs import (
     Graph,
     SolutionMap,
-    approximation_ratio,
     best_sampled_cut,
     brute_force_maxcut,
     chain_maxcut,
-    complement,
-    cut_size,
-    dfs_connected_components,
     expectation_value,
     load_graph,
-    parse_edge_list,
     random_chain_graph,
     random_graph,
     save_graph,
-    serialize_edge_list,
 )
-from .partition import SeparationResult, nlgp, nrl
+from .partition import nlgp, nrl
 from .qaoa import (
     AnsatzParams,
     apply_mixer_layer,
-    build_initial_state,
-    cut_value_table,
-    final_state,
     optimize_params,
-    qaoa_expectation,
     qaoa_maxcut,
     sample_solution_map,
 )
@@ -54,7 +44,6 @@ from .solver import (
 
 __all__ = [
     "AnsatzParams",
-    "BaselineResult",
     "ConnectivityExceededError",
     "DcConfig",
     "DcqaoaError",
@@ -64,33 +53,23 @@ __all__ = [
     "GraphValidationError",
     "PartitionNode",
     "ReconstructionError",
-    "SeparationResult",
     "SizeLimitError",
     "SolutionMap",
     "abridge",
     "apply_mixer_layer",
-    "approximation_ratio",
     "best_sampled_cut",
     "brute_force_maxcut",
     "chain_maxcut",
-    "build_initial_state",
     "combine",
-    "complement",
-    "cut_size",
-    "cut_value_table",
     "dc_qaoa",
     "dc_qaoa_traced",
-    "dfs_connected_components",
     "expectation_value",
-    "final_state",
     "greedy_local_search",
     "kl_divergence",
     "load_graph",
     "nlgp",
     "nrl",
     "optimize_params",
-    "parse_edge_list",
-    "qaoa_expectation",
     "qaoa_maxcut",
     "random_chain_graph",
     "random_graph",
@@ -99,7 +78,6 @@ __all__ = [
     "rescale",
     "sample_solution_map",
     "save_graph",
-    "serialize_edge_list",
     "tree_nrl",
     "weight_map",
 ]

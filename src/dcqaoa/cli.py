@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .qaoa import qaoa_maxcut
 from .reconstruction import SCHEMES, kl_divergence
-from .reports import build_run_report, dumps_report, reference_optimum
+from .reports import approximation_ratio, build_run_report, dumps_report, reference_optimum
 from .seeds import derive_seed
 from .solver import DcConfig, dc_qaoa_traced, tree_nrl
 
@@ -173,7 +173,8 @@ def build_parser() -> _Parser:
         "--suite",
         default=None,
         metavar="DIR",
-        help="generate (or reuse) the default 7-graph suite in DIR and include it",
+        help="write the default 7-graph suite for --seed into DIR (overwriting it) "
+        "and include it",
     )
     _add_config_flags(compare)
     compare.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -278,8 +279,8 @@ def _cmd_sweep(args) -> int:
             continue
         row["reference_cut"] = reference_cut
         row["reference_kind"] = reference_kind
-        row["ar_expectation"] = _ratio(row["expectation_value"], reference_cut)
-        row["ar_best_sampled"] = _ratio(row["best_cut"], reference_cut)
+        row["ar_expectation"] = approximation_ratio(row["expectation_value"], reference_cut)
+        row["ar_best_sampled"] = approximation_ratio(row["best_cut"], reference_cut)
 
     _emit(_render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows), args.out)
     return 0
@@ -317,12 +318,12 @@ def _cmd_compare(args) -> int:
                 reference_kind=reference_kind,
                 dc_best_cut=dc_cut,
                 dc_expectation_value=dc_expectation,
-                dc_ar_expectation=_ratio(dc_expectation, reference_cut),
-                dc_ar_best_sampled=_ratio(dc_cut, reference_cut),
+                dc_ar_expectation=approximation_ratio(dc_expectation, reference_cut),
+                dc_ar_best_sampled=approximation_ratio(dc_cut, reference_cut),
                 dc_runtime_seconds=None if args.stable_output else dc_elapsed,
                 rs_budget=rs_budget,
                 rs_best_cut=rs.best_cut,
-                rs_ar_best_sampled=_ratio(rs.best_cut, reference_cut),
+                rs_ar_best_sampled=approximation_ratio(rs.best_cut, reference_cut),
                 rs_runtime_seconds=None if args.stable_output else rs.elapsed,
                 ls_best_cut=ls.best_cut,
             )
@@ -348,11 +349,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _ratio(cut: float, reference_cut: int) -> float:
-    """Approximation ratio; 1.0 when the reference is 0 (no edge to cut)."""
-    return cut / reference_cut if reference_cut else 1.0
-
-
 def _suite_paths(directory: str, seed: int) -> list[str]:
     """Default comparison suite: sparse block-chain graphs across sizes.
 
@@ -364,9 +360,7 @@ def _suite_paths(directory: str, seed: int) -> list[str]:
     paths = []
     for n in SUITE_SIZES:
         path = os.path.join(directory, f"suite_n{n:02d}.edges")
-        if not os.path.exists(path):
-            g = random_chain_graph(n, seed=derive_seed(seed, "suite", n))
-            save_graph(g, path)
+        save_graph(random_chain_graph(n, seed=derive_seed(seed, "suite", n)), path)
         paths.append(path)
     return paths
 

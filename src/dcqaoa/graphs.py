@@ -9,7 +9,7 @@ Conventions used everywhere in this package:
 * A ``SolutionMap`` pairs assignments with non-negative sample counts and
   remembers which node set the assignment positions index. It holds its
   assignments as 0/1 rows; strings appear only in the dict constructor,
-  ``from_dict``, ``counts`` and ``to_dict``.
+  ``counts`` and ``to_dict``.
 """
 
 from __future__ import annotations
@@ -129,14 +129,12 @@ class SolutionMap:
     ``rows`` is a read-only C-contiguous ``uint8`` array of shape
     ``(r, len(nodes))`` whose row i holds the 0/1 bits of entry i;
     ``row_counts`` holds the r counts beside it as exact Python ints (products
-    of weighted counts outgrow 64 bits on large graphs). Entry order is
-    meaningful: producers that promise a sorted map emit entries in
-    non-increasing count order. Sampling, :meth:`sorted_by_count` and
-    ``combine`` break ties toward the lexicographically smaller assignment;
-    ``rerank_by_cut`` breaks them toward the larger cut.
+    of weighted counts outgrow 64 bits on large graphs). Only
+    ``rerank_by_cut`` sets entry order (larger cut first); sampling and
+    ``combine`` return entries in unspecified order.
 
-    ``SolutionMap(nodes, {assignment: count})`` and :meth:`from_dict` validate
-    outside input; :meth:`from_rows` builds maps from rows the package made.
+    ``SolutionMap(nodes, {assignment: count})`` validates outside input;
+    :meth:`from_rows` builds maps from rows the package made.
     ``counts`` gives the entries as a ``{str: int}`` dict in entry order, built
     on first access; treat it as read-only.
     """
@@ -214,27 +212,14 @@ class SolutionMap:
     def total(self) -> int:
         return sum(self.row_counts)
 
-    def entries(self) -> list[tuple[str, int]]:
-        return list(self.counts.items())
-
     def take(self, indices: list[int], counts: list[int] | None = None) -> "SolutionMap":
         """The entries at `indices`, in that order, optionally with new counts."""
         if counts is None:
             counts = [self.row_counts[i] for i in indices]
         return SolutionMap.from_rows(self.nodes, self.rows[indices], counts)
 
-    def sorted_by_count(self) -> "SolutionMap":
-        """Non-increasing count order, lexicographically smaller row first on ties."""
-        # a stable sort keeps the row order among equal counts
-        by_row = lexicographic_order(self.rows).tolist()
-        return self.take(sorted(by_row, key=self.row_counts.__getitem__, reverse=True))
-
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "counts": dict(self.counts)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolutionMap":
-        return cls(tuple(payload["nodes"]), {k: int(v) for k, v in payload["counts"].items()})
 
 
 def complement(assignment: str) -> str:
@@ -302,7 +287,7 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
         g = Graph.from_edges(
             [e for e, keep in zip(pairs, mask) if keep], nodes=range(n)
         )
-        if len(dfs_connected_components(g)) == 1:
+        if len(components_excluding(g, frozenset())) == 1:
             return g
     raise GenerationError(
         f"no connected G({n}, {edge_prob}) sample within {_GENERATION_RETRIES} retries of seed {seed}"
@@ -454,15 +439,6 @@ def index_rows(indices: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1)[:, 32 - n :]
 
 
-def cut_size(g: Graph, assignment: str) -> int:
-    """Number of edges whose endpoints get different bits."""
-    if len(assignment) != g.n:
-        raise ValueError(
-            f"assignment length {len(assignment)} != node count {g.n}"
-        )
-    return int(cut_values(g, key_rows([assignment]))[0])
-
-
 def brute_force_maxcut(g: Graph) -> tuple[int, set[str]]:
     """Exhaustive MaxCut: (max cut, all optimal assignments incl. complements).
 
@@ -486,13 +462,9 @@ def brute_force_maxcut(g: Graph) -> tuple[int, set[str]]:
     return best, winners
 
 
-def dfs_connected_components(g: Graph) -> list[set[int]]:
-    """Maximal connected components, ascending by smallest member."""
-    return components_excluding(g, frozenset())
-
-
 def components_excluding(g: Graph, removed: frozenset[int] | set[int]) -> list[set[int]]:
-    """Connected components of g with `removed` nodes (and incident edges) deleted."""
+    """Connected components of g with `removed` nodes (and incident edges) deleted,
+    ascending by smallest member."""
     adj = g.adjacency
     seen: set[int] = set()
     comps: list[set[int]] = []
@@ -528,26 +500,3 @@ def best_sampled_cut(g: Graph, m: SolutionMap) -> int:
     if not m.row_counts:
         raise ValueError("empty solution map")
     return int(cut_values(g, m.rows).max())
-
-
-def approximation_ratio(
-    g: Graph,
-    m: SolutionMap,
-    mode: str = "expectation",
-    max_cut: int | None = None,
-) -> float:
-    """Achieved cut relative to the optimum.
-
-    mode 'expectation' uses the count-weighted average, 'best_sampled' the
-    best assignment present in the map. When `max_cut` is not supplied the
-    exact optimum is computed by brute force (small graphs only).
-    """
-    if mode not in ("expectation", "best_sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if max_cut is None:
-        max_cut, _ = brute_force_maxcut(g)
-    if max_cut == 0:
-        return 1.0
-    if mode == "expectation":
-        return expectation_value(g, m) / max_cut
-    return best_sampled_cut(g, m) / max_cut

@@ -105,22 +105,11 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def final_state(g: Graph, params: AnsatzParams) -> np.ndarray:
-    return _evolve(build_initial_state(g.n), cut_value_table(g), params.layers)
-
-
 def _evolve(state: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
     for gamma, beta in layers:
         state = apply_cost_phases(state, table, gamma)
         state = apply_mixer_layer(state, beta)
     return state
-
-
-def qaoa_expectation(g: Graph, params: AnsatzParams) -> float:
-    """Exact expected cut size of the circuit's output distribution."""
-    table = cut_value_table(g)
-    state = _evolve(build_initial_state(g.n), table, params.layers)
-    return _expectation_of(state, table)
 
 
 def _expectation_of(state: np.ndarray, table: np.ndarray) -> float:
@@ -177,7 +166,7 @@ def optimize_params(
 
 
 def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -> SolutionMap:
-    """Seeded measurement of the final state, sorted by count descending."""
+    """Seeded measurement of the final state; entry order is unspecified."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
     n = g.n
@@ -189,7 +178,7 @@ def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -
     draws = rng.multinomial(shots, probs)
     drawn = np.flatnonzero(draws)
     rows = index_rows(drawn, n)
-    return SolutionMap.from_rows(g.nodes, rows, draws[drawn].tolist()).sorted_by_count()
+    return SolutionMap.from_rows(g.nodes, rows, draws[drawn].tolist())
 
 
 def qaoa_maxcut(

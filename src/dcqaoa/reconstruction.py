@@ -43,8 +43,13 @@ def combine(
     the first map when the node belongs to g1, otherwise from the second;
     its count is scheme(count1, count2). Node-disjoint maps have no common
     node to disagree on, so every pair merges and the result is their
-    product. Output is sorted by count descending. An empty result (no
-    compatible pair) is returned as an empty map for the caller to handle.
+    product. An empty result (no compatible pair) is returned as an empty
+    map for the caller to handle.
+
+    No two compatible pairs give the same merged row: two different m1 rows
+    differ on some g1 node, and two m2 rows that match the same m1 row agree
+    on the common nodes, so they differ on some node only g2 has. Entry
+    order is unspecified.
     """
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
@@ -66,7 +71,7 @@ def combine(
     merged[:, [column[v] for v in g1.nodes]] = m1.rows[i1]
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
-    return SolutionMap.from_rows(union_nodes, merged, counts).sorted_by_count()
+    return SolutionMap.from_rows(union_nodes, merged, counts)
 
 
 def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:

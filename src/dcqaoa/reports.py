@@ -10,7 +10,6 @@ from .graphs import (
     BRUTE_FORCE_LIMIT,
     Graph,
     SolutionMap,
-    approximation_ratio,
     best_sampled_cut,
     brute_force_maxcut,
     expectation_value,
@@ -40,6 +39,12 @@ def reference_optimum(
     return max([local.best_cut, *candidate_cuts]), "best_of_suite"
 
 
+def approximation_ratio(cut: float, reference_cut: int) -> float:
+    """Achieved cut over the reference optimum; 1.0 when the reference is 0
+    (no edge to cut)."""
+    return cut / reference_cut if reference_cut else 1.0
+
+
 def build_run_report(
     g: Graph,
     cfg: DcConfig,
@@ -51,6 +56,7 @@ def build_run_report(
 ) -> dict:
     best_cut = best_sampled_cut(g, solution)
     max_cut, reference_kind = reference_optimum(g, [best_cut], cfg.seed)
+    expectation = expectation_value(g, solution)
     report = {
         "schema": RUN_REPORT_SCHEMA,
         "config": asdict(cfg),
@@ -62,13 +68,9 @@ def build_run_report(
         },
         "reference": {"kind": reference_kind, "max_cut": max_cut},
         "metrics": {
-            "expectation_value": expectation_value(g, solution),
-            "approximation_ratio_expectation": approximation_ratio(
-                g, solution, "expectation", max_cut=max_cut
-            ),
-            "approximation_ratio_best_sampled": approximation_ratio(
-                g, solution, "best_sampled", max_cut=max_cut
-            ),
+            "expectation_value": expectation,
+            "approximation_ratio_expectation": approximation_ratio(expectation, max_cut),
+            "approximation_ratio_best_sampled": approximation_ratio(best_cut, max_cut),
             "best_sampled_cut": best_cut,
             "nrl": tree_nrl(g, tree),
             "kl_divergence": kl,

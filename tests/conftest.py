@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dcqaoa import Graph, SolutionMap
 from dcqaoa.graphs import components_excluding
+from dcqaoa.qaoa import _evolve, _expectation_of, build_initial_state, cut_value_table
 from dcqaoa.reconstruction import scheme_function
 
 
@@ -47,14 +48,9 @@ def naive_cut_size(g: Graph, assignment: str) -> int:
     return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
 
 
-def string_sorted_by_count(m: SolutionMap) -> list[tuple[str, int]]:
-    """Entries sorted on (-count, string): the oracle for SolutionMap.sorted_by_count."""
-    return sorted(m.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, scheme: str):
-    """Signature-dict join over assignment strings, sorted by (-count, string):
-    the oracle for reconstruction.combine. Returns (union nodes, entries)."""
+    """Signature-dict join over assignment strings: the oracle for
+    reconstruction.combine. Returns (union nodes, {merged string: count})."""
     fn = scheme_function(scheme)
     common = sorted(set(g1.nodes) & set(g2.nodes))
     pos1, pos2 = g1.index, g2.index
@@ -68,7 +64,18 @@ def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, schem
         for s2, c2 in by_signature.get("".join(s1[pos1[v]] for v in common), ()):
             pair = (s1, s2)
             merged["".join(pair[side][i] for side, i in picks)] = fn(c1, c2)
-    return union_nodes, sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    return union_nodes, merged
+
+
+def final_state(g: Graph, params) -> np.ndarray:
+    """Statevector after the whole depth-p circuit on g."""
+    return _evolve(build_initial_state(g.n), cut_value_table(g), params.layers)
+
+
+def qaoa_expectation(g: Graph, params) -> float:
+    """Exact expected cut size of the circuit's output distribution."""
+    table = cut_value_table(g)
+    return _expectation_of(_evolve(build_initial_state(g.n), table, params.layers), table)
 
 
 def float_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:

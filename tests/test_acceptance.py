@@ -26,11 +26,9 @@ from dcqaoa import (
     dc_qaoa,
     dc_qaoa_traced,
     expectation_value,
-    final_state,
     kl_divergence,
     nlgp,
     optimize_params,
-    qaoa_expectation,
     qaoa_maxcut,
     random_chain_graph,
     random_graph,
@@ -41,7 +39,7 @@ from dcqaoa.cli import main
 from dcqaoa.qaoa import AnsatzParams
 from dcqaoa.graphs import components_excluding, save_graph
 from dcqaoa.seeds import derive_seed
-from conftest import check_separation_invariants, k2, toy_graph
+from conftest import check_separation_invariants, final_state, k2, qaoa_expectation, toy_graph
 
 SCHEMES = ("min", "mul", "minXmul")
 

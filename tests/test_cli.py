@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from dcqaoa.cli import main, thread_count
+from dcqaoa.cli import SUITE_SIZES, main, thread_count
 from dcqaoa.graphs import load_graph, random_chain_graph, save_graph
+from dcqaoa.seeds import derive_seed
 from conftest import complete_graph, toy_graph
 
 
@@ -137,6 +138,10 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["solution"]["nodes"] == list(range(300))
         assert report["metrics"]["best_sampled_cut"] == 0
+        # no edge to cut: every assignment is optimal
+        assert report["reference"]["max_cut"] == 0
+        assert report["metrics"]["approximation_ratio_best_sampled"] == 1.0
+        assert report["metrics"]["approximation_ratio_expectation"] == 1.0
 
     def test_empty_graph_names_its_cause(self, tmp_path, capsys):
         path = tmp_path / "empty.edges"
@@ -228,6 +233,21 @@ class TestCompare:
         assert paths1 == paths2
         assert [open(p).read() for p in paths2] == contents
         assert len(paths1) == 7
+
+    def test_suite_is_rewritten_for_each_seed(self, tmp_path):
+        # at k = 2 no block of a chain splits, so every row fails fast; the
+        # suite is written before any row runs
+        suite = tmp_path / "suite"
+        for seed in (0, 1):
+            args = ["compare", "--suite", str(suite), "--k", "2", "--seed", str(seed)]
+            assert main([*args, *FAST]) == 0
+        suites = {
+            seed: [random_chain_graph(n, seed=derive_seed(seed, "suite", n)) for n in SUITE_SIZES]
+            for seed in (0, 1)
+        }
+        assert suites[0] != suites[1]
+        written = [load_graph(suite / f"suite_n{n:02d}.edges") for n in SUITE_SIZES]
+        assert written == suites[1]
 
 
 class TestThreadCount:

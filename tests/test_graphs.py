@@ -14,27 +14,26 @@ from dcqaoa import (
     GraphValidationError,
     SizeLimitError,
     SolutionMap,
-    approximation_ratio,
     best_sampled_cut,
     brute_force_maxcut,
     chain_maxcut,
-    complement,
-    cut_size,
-    cut_value_table,
-    dfs_connected_components,
     expectation_value,
-    parse_edge_list,
     random_chain_graph,
     random_graph,
-    serialize_edge_list,
 )
 from dcqaoa.graphs import (
+    complement,
+    components_excluding,
     cut_values,
     index_rows,
     key_rows,
+    parse_edge_list,
     refined_form,
     row_strings,
+    serialize_edge_list,
 )
+from dcqaoa.qaoa import cut_value_table
+from dcqaoa.reports import approximation_ratio
 from conftest import (
     brute_force_form,
     complete_graph,
@@ -46,7 +45,6 @@ from conftest import (
     path_graph,
     relabel,
     relabelings,
-    string_sorted_by_count,
     toy_graph,
     triangle,
 )
@@ -121,7 +119,7 @@ class TestRandomGraph:
     def test_connected(self, rng):
         for _ in range(10):
             g = random_graph(int(rng.integers(2, 30)), 0.25, seed=int(rng.integers(0, 10**6)))
-            assert len(dfs_connected_components(g)) == 1
+            assert len(components_excluding(g, frozenset())) == 1
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
@@ -135,31 +133,36 @@ class TestRandomGraph:
             random_graph(40, 1e-9, seed=0)
 
 
+def cut_of(g: Graph, assignment: str) -> int:
+    """cut_values on the single row of one assignment string."""
+    return int(cut_values(g, np.array([[int(c) for c in assignment]], dtype=np.uint8))[0])
+
+
 class TestCutSize:
     def test_monochromatic_triangle(self):
-        assert cut_size(triangle(), "000") == 0
+        assert cut_of(triangle(), "000") == 0
 
     def test_one_versus_two(self):
-        assert cut_size(triangle(), "011") == 2
+        assert cut_of(triangle(), "011") == 2
 
     def test_toy_graph_known_assignment(self):
-        assert cut_size(toy_graph(), "01010") == 4
+        assert cut_of(toy_graph(), "01010") == 4
 
     def test_toy_graph_maximum_is_four(self):
         # independent enumeration over all 32 assignments
         g = toy_graph()
-        best = max(cut_size(g, format(b, "05b")) for b in range(32))
+        best = max(cut_of(g, format(b, "05b")) for b in range(32))
         assert best == 4
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cut_size(triangle(), "0011")
+            cut_of(triangle(), "0011")
 
     def test_complement_invariance(self, rng):
         g = random_graph(8, 0.4, seed=5)
         for _ in range(30):
             a = "".join(rng.choice(["0", "1"], size=8))
-            assert cut_size(g, a) == cut_size(g, complement(a))
+            assert cut_of(g, a) == cut_of(g, complement(a))
 
 
 class TestCutValues:
@@ -241,18 +244,18 @@ class TestBruteForce:
 
 class TestComponents:
     def test_triangle_single(self):
-        assert dfs_connected_components(triangle()) == [{0, 1, 2}]
+        assert components_excluding(triangle(), frozenset()) == [{0, 1, 2}]
 
     def test_two_disjoint_edges(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        assert dfs_connected_components(g) == [{0, 1}, {2, 3}]
+        assert components_excluding(g, frozenset()) == [{0, 1}, {2, 3}]
 
     def test_empty_graph(self):
-        assert dfs_connected_components(Graph.from_edges([])) == []
+        assert components_excluding(Graph.from_edges([]), frozenset()) == []
 
     def test_ascending_by_smallest_member(self):
         g = Graph.from_edges([(5, 6), (1, 2)], nodes=[0])
-        assert dfs_connected_components(g) == [{0}, {1, 2}, {5, 6}]
+        assert components_excluding(g, frozenset()) == [{0}, {1, 2}, {5, 6}]
 
 
 class TestExpectationValue:
@@ -279,11 +282,11 @@ class TestExpectationValue:
 class TestApproximationRatio:
     def test_expectation_mode(self):
         m = SolutionMap((0, 1, 2), {"011": 1})
-        assert approximation_ratio(triangle(), m, "expectation") == 1.0
+        assert approximation_ratio(expectation_value(triangle(), m), 2) == 1.0
 
     def test_best_sampled_mode_zero(self):
         m = SolutionMap((0, 1, 2), {"000": 1})
-        assert approximation_ratio(triangle(), m, "best_sampled") == 0.0
+        assert approximation_ratio(best_sampled_cut(triangle(), m), 2) == 0.0
 
     def test_best_sampled_at_least_expectation(self, rng):
         g = random_graph(7, 0.5, seed=3)
@@ -292,23 +295,14 @@ class TestApproximationRatio:
             a = "".join(rng.choice(["0", "1"], size=7))
             counts[a] = int(rng.integers(1, 50))
         m = SolutionMap(g.nodes, counts)
-        assert approximation_ratio(g, m, "best_sampled") >= approximation_ratio(
-            g, m, "expectation"
+        optimum, _ = brute_force_maxcut(g)
+        assert approximation_ratio(best_sampled_cut(g, m), optimum) >= approximation_ratio(
+            expectation_value(g, m), optimum
         )
 
     def test_supplied_reference(self):
         m = SolutionMap((0, 1, 2), {"011": 1})
-        assert approximation_ratio(triangle(), m, "best_sampled", max_cut=4) == 0.5
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            approximation_ratio(triangle(), SolutionMap((0, 1, 2), {"011": 1}), "median")
-
-    def test_too_large_without_reference(self):
-        g = path_graph(30)
-        m = SolutionMap(g.nodes, {"01" * 15: 1})
-        with pytest.raises(SizeLimitError):
-            approximation_ratio(g, m, "best_sampled")
+        assert approximation_ratio(best_sampled_cut(triangle(), m), 4) == 0.5
 
 
 class TestSolutionMap:
@@ -342,8 +336,10 @@ class TestSolutionMap:
         "counts", [{"010": 1}, {"0x": 1}, {"0\u00e9": 1}, {"01": -1}, {"01": "abc"}]
     )
     def test_from_dict_rejects(self, counts):
+        # a to_dict payload read back through the dict constructor
+        payload = {"nodes": [0, 1], "counts": counts}
         with pytest.raises(ValueError):
-            SolutionMap.from_dict({"nodes": [0, 1], "counts": counts})
+            SolutionMap(tuple(payload["nodes"]), payload["counts"])
 
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ValueError):
@@ -372,13 +368,13 @@ class TestSolutionMap:
         assert not m.rows.flags.writeable
         assert m.row_counts == [4, 2, 0]
         rebuilt = SolutionMap.from_rows(m.nodes, np.asfortranarray(m.rows), m.row_counts)
-        assert rebuilt.entries() == m.entries()
+        assert list(rebuilt.counts.items()) == list(m.counts.items())
         assert rebuilt == m and rebuilt.rows.flags.c_contiguous
 
     def test_zero_width_map(self):
         m = SolutionMap((), {"": 5})
         assert m.rows.shape == (1, 0)
-        assert m.sorted_by_count().entries() == [("", 5)]
+        assert m.counts == {"": 5}
         assert row_strings(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
 
     def test_equality_ignores_entry_order(self):
@@ -387,21 +383,10 @@ class TestSolutionMap:
         assert a != SolutionMap((0, 1), {"01": 5, "10": 4})
         assert a != SolutionMap((0, 2), {"01": 5, "10": 5})
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 10), st.data())
-    def test_sorted_by_count_matches_string_oracle(self, n, data):
-        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40, unique=True))
-        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
-        m = SolutionMap(tuple(range(n)), {format(b, f"0{n}b"): c for b, c in zip(keys, counts)})
-        assert m.sorted_by_count().entries() == string_sorted_by_count(m)
-
-    def test_sorted_by_count_tie_break(self):
-        m = SolutionMap((0, 1), {"10": 5, "01": 5, "00": 9})
-        assert m.sorted_by_count().entries() == [("00", 9), ("01", 5), ("10", 5)]
-
     def test_round_trip(self):
         m = SolutionMap((0, 2, 5), {"010": 4, "111": 1})
-        assert SolutionMap.from_dict(m.to_dict()) == m
+        payload = m.to_dict()
+        assert SolutionMap(tuple(payload["nodes"]), payload["counts"]) == m
 
 
 class TestChainGraphs:
@@ -414,7 +399,7 @@ class TestChainGraphs:
         for seed in range(10):
             g = random_chain_graph(40, seed)
             assert g.n == 40
-            assert len(dfs_connected_components(g)) == 1
+            assert len(components_excluding(g, frozenset())) == 1
 
     def test_deterministic(self):
         assert random_chain_graph(30, 4) == random_chain_graph(30, 4)

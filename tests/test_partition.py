@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dcqaoa import (
     ConnectivityExceededError,
     Graph,
-    dfs_connected_components,
     nlgp,
     nrl,
     random_graph,
@@ -132,7 +131,7 @@ class TestNlgp:
         split = nlgp(g, k)
         check_separation_invariants(g, split)
         # a disconnected forest needs no separator node, a tree one cut vertex
-        assert len(split.separator) == (0 if len(dfs_connected_components(g)) > 1 else 1)
+        assert len(split.separator) == (0 if len(components_excluding(g, frozenset())) > 1 else 1)
 
     @given(graphs(max_nodes=9), st.integers(1, 8))
     def test_both_sides_shrink(self, g, k):
