@@ -8,6 +8,22 @@ which equals the per-edge two-qubit phase circuit up to global phase. A cut
 value is an integer in 0..|E|, so the layer evaluates one phase per distinct
 cut value and gathers it by the table. The mixer is one whole-array step
 per qubit.
+
+Half layout: a cut is unchanged when every bit flips, and both |+>^n and
+the mixer commute with X^n, so every state of the circuit is spin-flip
+symmetric, psi(b) = psi(2^n - 1 - b). The simulator therefore carries only
+the bit-0 = 0 half, the first 2^(n-1) amplitudes; the full state is
+``concat(half, half[::-1])``. Each amplitude of the half is computed by
+the same floating-point operations as in a full-state run, so the rebuilt
+state is bit for bit the full one. The readout squares magnitudes on the
+half and mirrors them before the full-length dot product and draw.
+
+Multiply order: with FMA, complex ``a * b`` and ``b * a`` can differ in the
+last bit. The full-state cost layer was written ``state * phases[table]``,
+and from 256 KiB of state on (n >= 14) numpy reused the gathered
+temporary in place, which evaluated ``phases * state``. The cost layer
+keeps those bits with an explicit ``np.multiply`` order chosen by the
+full state's size, so no interpreter heuristic picks them.
 """
 
 from __future__ import annotations
@@ -27,6 +43,9 @@ DEFAULT_RESTARTS = 5
 DEFAULT_BUDGET = 200
 MAX_SHOTS = 2**63 - 1  # the most draws numpy's multinomial sampler takes
 _EV_TOL = 1e-4
+# full-state size from which the cost layer's gathered phase is the left
+# operand of its multiply (module docstring)
+_WIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -73,47 +92,77 @@ def build_initial_state(n: int) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
-def apply_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Phase e^(-i*gamma*table[b]) on each basis amplitude; table is cut_value_table(g).
+def _initial_half(n: int) -> np.ndarray:
+    """The bit-0 = 0 half of the uniform superposition over n qubits."""
+    return build_initial_state(n)[: 1 << (n - 1)]
 
-    The table holds non-negative integers, so the phase is evaluated once per
-    value 0..max(table) and gathered by the table.
+
+def apply_cost_phases(
+    half: np.ndarray, table: np.ndarray, cut_range: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Phase e^(-i*gamma*table[b]) on each amplitude of a half state.
+
+    ``table`` is the half's slice of ``cut_value_table(g)`` and ``cut_range``
+    is 0.0, 1.0, ..., max cut: the phase is evaluated once per cut value and
+    gathered by the table. ``_evolve`` checks the table once per circuit.
+    The operand order is fixed, not left to numpy's in-place reuse of
+    temporaries: from a full state of _WIDE_BYTES on, the gathered phase is
+    the left operand (see the module docstring).
     """
-    if state.shape != table.shape:
+    gathered = np.exp(-1j * gamma * cut_range)[table]
+    if 2 * half.nbytes >= _WIDE_BYTES:
+        return np.multiply(gathered, half, out=gathered)
+    return np.multiply(half, gathered, out=gathered)
+
+
+def apply_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
+    """R_X(2*beta) on every qubit of a spin-flip-symmetric state, as its half.
+
+    For each qubit, every amplitude becomes cos(beta) times itself plus
+    -i*sin(beta) times its partner across that qubit. For qubit 0 the
+    partner of half[j] lies in the other half; by symmetry it equals
+    half[2^(n-1)-1-j], so the step pairs the half with its reverse. Qubit
+    q >= 1 pairs the halves of axis 1 of a (2^(q-1), 2, rest) view, one
+    whole-array step per qubit.
+    """
+    n = _qubits_of(half)
+    c = math.cos(beta)
+    s = -1j * math.sin(beta)
+    out = c * half + s * half[::-1]
+    for q in range(1, n):
+        view = out.reshape(1 << (q - 1), 2, -1)
+        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
+    return out
+
+
+def _evolve(half: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
+    """The depth-p circuit on the half of a spin-flip-symmetric state.
+
+    ``table`` is the full ``cut_value_table``; it is checked here, once per
+    circuit, and the kernels see its first half.
+    """
+    if table.shape != (2 * len(half),):
         raise ValueError("state and cut table dimensions differ")
     if not np.issubdtype(table.dtype, np.integer):
         raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
     if table.min() < 0:
         raise ValueError("cut table holds a negative entry")
-    phases = np.exp(-1j * gamma * np.arange(table.max() + 1, dtype=np.float64))
-    return state * phases[table]
-
-
-def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """R_X(2*beta) on every qubit, one whole-array step per qubit.
-
-    Qubit q pairs the halves of axis 1 of a (2^q, 2, rest) view: each half
-    becomes cos(beta) times itself plus -i*sin(beta) times the other half.
-    """
-    n = _qubits_of(state)
-    out = state
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    for q in range(n):
-        view = out.reshape(1 << q, 2, -1)
-        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
-    return out
-
-
-def _evolve(state: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
+    cut_range = np.arange(table.max() + 1, dtype=np.float64)
+    table = table[: len(half)]
     for gamma, beta in layers:
-        state = apply_cost_phases(state, table, gamma)
-        state = apply_mixer_layer(state, beta)
-    return state
+        half = apply_cost_phases(half, table, cut_range, gamma)
+        half = apply_mixer_layer(half, beta)
+    return half
 
 
-def _expectation_of(state: np.ndarray, table: np.ndarray) -> float:
-    probs = np.abs(state) ** 2
+def _probabilities(half: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 of all 2^n basis states, mirrored from the half."""
+    probs = np.abs(half) ** 2
+    return np.concatenate((probs, probs[::-1]))
+
+
+def _expectation_of(half: np.ndarray, table: np.ndarray) -> float:
+    probs = _probabilities(half)
     return float(probs @ table / probs.sum())
 
 
@@ -138,11 +187,11 @@ def optimize_params(
         raise ValueError("restarts must be >= 1")
     _check_qubits(g.n)
     table = cut_value_table(g)
-    state0 = build_initial_state(g.n)
+    half0 = _initial_half(g.n)
 
     def neg_expectation(x: np.ndarray) -> float:
         layers = [(x[2 * i], x[2 * i + 1]) for i in range(p)]
-        return -_expectation_of(_evolve(state0, table, layers), table)
+        return -_expectation_of(_evolve(half0, table, layers), table)
 
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
@@ -171,8 +220,7 @@ def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
     n = g.n
     table = cut_value_table(g)
-    state = _evolve(build_initial_state(n), table, params.layers)
-    probs = np.abs(state) ** 2
+    probs = _probabilities(_evolve(_initial_half(n), table, params.layers))
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
@@ -204,8 +252,8 @@ def _check_qubits(n: int) -> int:
     return n
 
 
-def _qubits_of(state: np.ndarray) -> int:
-    n = (len(state) - 1).bit_length()
-    if len(state) != 1 << n or len(state) < 2:
-        raise ValueError("statevector length must be a power of two >= 2")
-    return n
+def _qubits_of(half: np.ndarray) -> int:
+    """Qubit count n of a half state, whose length is 2^(n-1)."""
+    if len(half) < 1 or len(half) & (len(half) - 1):
+        raise ValueError("half statevector length must be a power of two >= 1")
+    return len(half).bit_length()

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from dcqaoa import Graph, SolutionMap
 from dcqaoa.graphs import components_excluding
-from dcqaoa.qaoa import _evolve, _expectation_of, build_initial_state, cut_value_table
+import dcqaoa.qaoa as qaoa
+from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, build_initial_state, cut_value_table
 from dcqaoa.reconstruction import scheme_function
 
 
@@ -67,15 +69,72 @@ def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, schem
     return union_nodes, merged
 
 
+def mirrored(half: np.ndarray) -> np.ndarray:
+    """The spin-flip-symmetric full state whose bit-0 = 0 half is `half`."""
+    return np.concatenate((half, half[::-1]))
+
+
+def random_half(n: int, seed: int) -> np.ndarray:
+    """Random complex bit-0 = 0 half of an n-qubit spin-flip-symmetric state."""
+    rng = np.random.default_rng(seed)
+    size = 1 << (n - 1)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
 def final_state(g: Graph, params) -> np.ndarray:
-    """Statevector after the whole depth-p circuit on g."""
-    return _evolve(build_initial_state(g.n), cut_value_table(g), params.layers)
+    """Full statevector after the whole depth-p circuit on g."""
+    return mirrored(_evolve(_initial_half(g.n), cut_value_table(g), params.layers))
 
 
 def qaoa_expectation(g: Graph, params) -> float:
     """Exact expected cut size of the circuit's output distribution."""
     table = cut_value_table(g)
-    return _expectation_of(_evolve(build_initial_state(g.n), table, params.layers), table)
+    return _expectation_of(_evolve(_initial_half(g.n), table, params.layers), table)
+
+
+def full_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """Full-state cost layer as the simulator had it before the half-state
+    kernels. From 256 KiB on, numpy reuses the gathered temporary in place,
+    so `state * phases[table]` evaluates `phases * state` there."""
+    phases = np.exp(-1j * gamma * np.arange(table.max() + 1, dtype=np.float64))
+    return state * phases[table]
+
+
+def full_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
+    """Full-state mixer: one whole-array step per qubit over all 2^n amplitudes."""
+    n = (len(state) - 1).bit_length()
+    out = state
+    c = math.cos(beta)
+    s = -1j * math.sin(beta)
+    for q in range(n):
+        view = out.reshape(1 << q, 2, -1)
+        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
+    return out
+
+
+def full_evolve(state: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
+    """Depth-p circuit on the full 2^n-amplitude state: the oracle for
+    qaoa._evolve, whose half state it gives mirrored."""
+    for gamma, beta in layers:
+        state = full_mixer_layer(full_cost_phases(state, table, gamma), beta)
+    return state
+
+
+def full_expectation(state: np.ndarray, table: np.ndarray) -> float:
+    """Expected cut of a full state: the oracle for qaoa._expectation_of."""
+    probs = np.abs(state) ** 2
+    return float(probs @ table / probs.sum())
+
+
+@contextmanager
+def full_state_qaoa():
+    """Within the block, qaoa's optimizer and sampler run on full states
+    through the oracles, as the simulator did before the half-state kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qaoa, "_initial_half", build_initial_state)
+        mp.setattr(qaoa, "_evolve", full_evolve)
+        mp.setattr(qaoa, "_probabilities", lambda state: np.abs(state) ** 2)
+        yield
 
 
 def float_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:

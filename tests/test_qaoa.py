@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from dcqaoa import (
     AnsatzParams,
+    Graph,
     SizeLimitError,
     apply_mixer_layer,
     expectation_value,
@@ -19,6 +20,7 @@ from dcqaoa import (
 from dcqaoa.qaoa import (
     _evolve,
     _expectation_of,
+    _initial_half,
     apply_cost_phases,
     build_initial_state,
     cut_value_table,
@@ -27,11 +29,16 @@ from conftest import (
     cycle_graph,
     final_state,
     float_cost_phases,
+    full_evolve,
+    full_expectation,
+    full_state_qaoa,
     graphs,
     k2,
     loop_mixer_layer,
+    mirrored,
     naive_cut_size,
     qaoa_expectation,
+    random_half,
     relabelings,
     toy_graph,
     triangle,
@@ -107,12 +114,24 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
-def random_state(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+def cost_layer(half: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """apply_cost_phases on a half state, given the full cut table."""
+    cut_range = np.arange(table.max() + 1, dtype=np.float64)
+    return apply_cost_phases(half, table[: len(half)], cut_range, gamma)
 
 
 wide_angles = st.floats(-20.0, 20.0)
+# every n from 1 to 16; the full state reaches 256 KiB, where the cost
+# layer's multiply order switches, at n = 14
+all_qubits = pytest.mark.parametrize("n", range(1, 17))
+
+
+@st.composite
+def graphs_on(draw, n: int):
+    """Simple graphs on the nodes 0..n-1."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(edges, nodes=range(n))
 
 
 class TestInitialState:
@@ -136,18 +155,18 @@ class TestInitialState:
 
 class TestCostLayer:
     def test_zero_angle_identity(self):
-        state = build_initial_state(3)
-        assert np.allclose(apply_cost_phases(state, cut_value_table(triangle()), 0.0), state)
+        half = _initial_half(3)
+        assert np.allclose(cost_layer(half, cut_value_table(triangle()), 0.0), half)
 
     def test_full_period_identity(self):
-        state = build_initial_state(3)
-        out = apply_cost_phases(state, cut_value_table(triangle()), 2.0 * math.pi)
-        assert np.allclose(out, state, atol=1e-12)
+        half = _initial_half(3)
+        out = cost_layer(half, cut_value_table(triangle()), 2.0 * math.pi)
+        assert np.allclose(out, half, atol=1e-12)
 
     def test_phase_only_keeps_probabilities(self):
-        state = build_initial_state(2)
-        out = apply_cost_phases(state, cut_value_table(k2()), math.pi / 2)
-        assert np.allclose(np.abs(out) ** 2, np.abs(state) ** 2)
+        half = _initial_half(2)
+        out = cost_layer(half, cut_value_table(k2()), math.pi / 2)
+        assert np.allclose(np.abs(out) ** 2, np.abs(half) ** 2)
 
     def test_table_matches_cut_size(self):
         g = random_graph(6, 0.5, seed=3)
@@ -162,48 +181,60 @@ class TestCostLayer:
     @given(graphs(max_nodes=10), wide_angles, st.integers(0, 2**32 - 1))
     def test_matches_float_table_oracle_bit_for_bit(self, g, gamma, seed):
         table = cut_value_table(g)
-        state = random_state(g.n, seed)
-        assert same_bits(apply_cost_phases(state, table, gamma), float_cost_phases(state, table, gamma))
+        half = random_half(g.n, seed)
+        expected = float_cost_phases(mirrored(half), table, gamma)
+        assert same_bits(cost_layer(half, table, gamma), expected[: len(half)])
 
+    # the circuit checks its cut table once, before the first cost layer
     def test_float_table_is_refused(self):
-        state = build_initial_state(3)
+        table = cut_value_table(triangle()).astype(np.float64)
         with pytest.raises(ValueError, match="integer dtype"):
-            apply_cost_phases(state, cut_value_table(triangle()).astype(np.float64), 0.3)
+            _evolve(_initial_half(3), table, [(0.3, 0.2)])
 
     def test_negative_entry_is_refused(self):
-        state = build_initial_state(3)
         table = cut_value_table(triangle())
         table[5] = -1
         with pytest.raises(ValueError, match="negative"):
-            apply_cost_phases(state, table, 0.3)
+            _evolve(_initial_half(3), table, [(0.3, 0.2)])
+
+    def test_table_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            _evolve(_initial_half(3), cut_value_table(k2()), [(0.3, 0.2)])
 
 
 class TestMixerLayer:
     def test_zero_angle_identity(self):
-        state = build_initial_state(3)
-        assert np.allclose(apply_mixer_layer(state, 0.0), state)
+        half = _initial_half(3)
+        assert np.allclose(apply_mixer_layer(half, 0.0), half)
 
     def test_half_pi_is_global_flip(self):
+        # R_X(pi) on every qubit is (-i)^n X^n, and X^n fixes a symmetric state
         n = 4
-        state = np.zeros(1 << n, dtype=complex)
-        state[0] = 1.0  # |0000>
-        out = apply_mixer_layer(state, math.pi / 2)
-        probs = np.abs(out) ** 2
-        assert probs[-1] == pytest.approx(1.0, abs=1e-12)
+        half = random_half(n, 5)
+        out = apply_mixer_layer(half, math.pi / 2)
+        assert np.allclose(out, (-1j) ** n * half, atol=1e-12)
 
-    def test_unitary_on_random_state(self, rng):
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state /= np.linalg.norm(state)
-        out = apply_mixer_layer(state, 0.37)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    def test_unitary_on_random_state(self):
+        half = random_half(3, 12345)
+        half /= np.linalg.norm(mirrored(half))
+        out = apply_mixer_layer(half, 0.37)
+        assert abs(np.linalg.norm(mirrored(out)) - 1.0) < 1e-12
+
+    def test_rejects_a_half_that_is_not_a_power_of_two(self):
+        for size in (0, 3, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                apply_mixer_layer(np.ones(size, dtype=complex), 0.3)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10), wide_angles, st.integers(0, 2**32 - 1))
     def test_matches_loop_oracle_bit_for_bit(self, n, beta, seed):
-        state = random_state(n, seed)
-        before = state.copy()
-        assert same_bits(apply_mixer_layer(state, beta), loop_mixer_layer(state, beta))
-        assert same_bits(state, before)
+        half = random_half(n, seed)
+        before = half.copy()
+        expected = loop_mixer_layer(mirrored(half), beta)
+        out = apply_mixer_layer(half, beta)
+        assert same_bits(out, expected[: len(half)])
+        assert same_bits(mirrored(out), expected)
+        assert same_bits(half, before)
 
 
 angles = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi))
@@ -218,13 +249,24 @@ class TestEvolution:
     )
     def test_matches_oracle_kernels_bit_for_bit(self, g, layers, seed):
         table = cut_value_table(g)
-        state = random_state(g.n, seed)
-        expected = state
+        half = random_half(g.n, seed)
+        expected = mirrored(half)
         for gamma, beta in layers:
             expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
-        ours = _evolve(state, table, layers)
-        assert same_bits(ours, expected)
-        assert _expectation_of(ours, table) == _expectation_of(expected, table.astype(np.float64))
+        ours = _evolve(half, table, layers)
+        assert same_bits(mirrored(ours), expected)
+        assert _expectation_of(ours, table) == full_expectation(expected, table.astype(np.float64))
+
+    @all_qubits
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.lists(st.tuples(wide_angles, wide_angles), min_size=1, max_size=3))
+    def test_matches_full_state_oracle_bit_for_bit(self, n, data, layers):
+        g = data.draw(graphs_on(n))
+        table = cut_value_table(g)
+        expected = full_evolve(build_initial_state(n), table, layers)
+        ours = _evolve(_initial_half(n), table, layers)
+        assert same_bits(mirrored(ours), expected)
+        assert _expectation_of(ours, table) == full_expectation(expected, table)
 
 
 class TestExpectation:
@@ -365,12 +407,13 @@ class TestSampling:
         assert m.counts == counts
 
     def test_complement_symmetry_of_distribution(self, rng):
+        # the symmetry the half-state simulator rests on, shown on full states
         g = random_graph(6, 0.5, seed=21)
         layers = tuple(
             (float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, math.pi)))
             for _ in range(3)
         )
-        state = final_state(g, AnsatzParams(layers))
+        state = full_evolve(build_initial_state(g.n), cut_value_table(g), layers)
         probs = np.abs(state) ** 2
         flipped = probs[::-1]  # basis index complement is bit reversal of 2^n-1-b
         assert np.max(np.abs(probs - flipped)) < 1e-9
@@ -386,6 +429,55 @@ class TestSampling:
         variance = float(probs @ (table - value) ** 2)
         tolerance = 3.0 * math.sqrt(variance / 100_000)
         assert expectation_value(g, m) == pytest.approx(value, abs=max(tolerance, 1e-3))
+
+
+class TestAgainstFullStateRun:
+    """The optimizer and the sampler against the same calls run on full states."""
+
+    @all_qubits
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.data(),
+        st.lists(st.tuples(wide_angles, wide_angles), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 10**6),
+    )
+    def test_sampling_matches_bit_for_bit(self, n, data, layers, seed, shots):
+        g = data.draw(graphs_on(n))
+        params = AnsatzParams(tuple(layers))
+        ours = sample_solution_map(g, params, shots, seed)
+        with full_state_qaoa():
+            expected = sample_solution_map(g, params, shots, seed)
+        assert np.array_equal(ours.rows, expected.rows)
+        assert ours.row_counts == expected.row_counts
+
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]], ids=["no-edge", "K2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_two_qubits(self, edges, p):
+        self.check_leaf(Graph.from_edges(edges, nodes=[0, 1]), p)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_one_qubit(self, p):
+        self.check_leaf(Graph.from_edges([], nodes=[7]), p)
+
+    def test_fourteen_qubits(self):
+        self.check_leaf(random_graph(14, 0.4, seed=3), 2, budget=20)
+
+    @staticmethod
+    def check_leaf(g, p, budget=60):
+        ours = optimize_params(g, p, seed=9, budget=budget, restarts=2)
+        with full_state_qaoa():
+            expected = optimize_params(g, p, seed=9, budget=budget, restarts=2)
+        assert ours == expected
+        params = ours[0]
+        table = cut_value_table(g)
+        final = full_evolve(build_initial_state(g.n), table, params.layers)
+        assert ours[1] == full_expectation(final, table)
+        ours = sample_solution_map(g, params, shots=5000, seed=4)
+        with full_state_qaoa():
+            expected = sample_solution_map(g, params, shots=5000, seed=4)
+        assert np.array_equal(ours.rows, expected.rows)
+        assert ours.row_counts == expected.row_counts
 
 
 class TestQaoaMaxcut:
