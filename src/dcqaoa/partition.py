@@ -1,12 +1,15 @@
 """Node-separator partitioning.
 
 Splits a graph into exactly two overlapping subgraphs by removing a
-shortest path-shaped node separator; separator nodes are duplicated into
-both subgraphs so no edge is lost. The separator may leave any number of
-components: the first half of them, ascending by smallest node, forms one
-side and the rest the other. A disconnected graph already falls apart at the
-empty path, so its separator is empty. Also provides the node-redundancy-level
-metric that scores a partition by how much duplication it introduced.
+shortest path-shaped node separator. Every separator node goes to the first
+subgraph, which also takes the separator-internal edges and so fixes every
+separator bit. A separator node goes to the second subgraph as well exactly
+when it has an edge there. No edge is lost, and the two subgraphs are the
+ones the solver solves. The separator may leave any number of components:
+the first half of them, ascending by smallest node, forms one side and the
+rest the other. A disconnected graph already falls apart at the empty path,
+so its separator is empty. Also provides the node-redundancy-level metric
+that scores a partition by how much duplication it introduced.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from .graphs import Graph, components_excluding
 class SeparationResult:
     """A separator path and the two subgraphs it induces.
 
-    The separator nodes belong to both subgraphs; the subgraphs' edge sets
-    are disjoint and cover the original edge set, and no edge joins the two
-    non-separator sides. The separator is empty when the graph was already
-    disconnected.
+    Every separator node is in the first subgraph, and it is in the second
+    exactly when it has an edge there; separator-internal edges are in the
+    first. The subgraphs' edge sets are disjoint and cover the original edge
+    set, and no edge joins the two non-separator sides. The separator is
+    empty when the graph was already disconnected.
     """
 
     separator: tuple[int, ...]
@@ -93,7 +97,10 @@ def _build_split(g: Graph, path: tuple[int, ...], comps: list[set[int]]) -> Sepa
     separator = set(path)
     half = len(comps) // 2
     side1 = separator.union(*comps[:half])
-    side2 = separator.union(*comps[half:])
+    rest = set().union(*comps[half:])
+    # the first side fixes every separator bit, so the second keeps only
+    # the separator nodes with an edge into its components
+    side2 = rest.union(v for v in separator if not rest.isdisjoint(g.adjacency[v]))
     # each side misses at least one component of the other, so both shrink
     assert len(side1) < g.n and len(side2) < g.n
     edges1: list[tuple[int, int]] = []

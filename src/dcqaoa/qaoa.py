@@ -17,13 +17,6 @@ the bit-0 = 0 half, the first 2^(n-1) amplitudes; the full state is
 the same floating-point operations as in a full-state run, so the rebuilt
 state is bit for bit the full one. The readout squares magnitudes on the
 half and mirrors them before the full-length dot product and draw.
-
-Multiply order: with FMA, complex ``a * b`` and ``b * a`` can differ in the
-last bit. The full-state cost layer was written ``state * phases[table]``,
-and from 256 KiB of state on (n >= 14) numpy reused the gathered
-temporary in place, which evaluated ``phases * state``. The cost layer
-keeps those bits with an explicit ``np.multiply`` order chosen by the
-full state's size, so no interpreter heuristic picks them.
 """
 
 from __future__ import annotations
@@ -43,9 +36,6 @@ DEFAULT_RESTARTS = 5
 DEFAULT_BUDGET = 200
 MAX_SHOTS = 2**63 - 1  # the most draws numpy's multinomial sampler takes
 _EV_TOL = 1e-4
-# full-state size from which the cost layer's gathered phase is the left
-# operand of its multiply (module docstring)
-_WIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -85,16 +75,10 @@ def cut_value_table(g: Graph) -> np.ndarray:
     return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.intp)
 
 
-def build_initial_state(n: int) -> np.ndarray:
-    """Uniform superposition over n qubits."""
-    n = _check_qubits(n)
-    dim = 1 << n
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-
-
 def _initial_half(n: int) -> np.ndarray:
     """The bit-0 = 0 half of the uniform superposition over n qubits."""
-    return build_initial_state(n)[: 1 << (n - 1)]
+    n = _check_qubits(n)
+    return np.full(1 << (n - 1), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
 
 
 def apply_cost_phases(
@@ -105,13 +89,8 @@ def apply_cost_phases(
     ``table`` is the half's slice of ``cut_value_table(g)`` and ``cut_range``
     is 0.0, 1.0, ..., max cut: the phase is evaluated once per cut value and
     gathered by the table. ``_evolve`` checks the table once per circuit.
-    The operand order is fixed, not left to numpy's in-place reuse of
-    temporaries: from a full state of _WIDE_BYTES on, the gathered phase is
-    the left operand (see the module docstring).
     """
     gathered = np.exp(-1j * gamma * cut_range)[table]
-    if 2 * half.nbytes >= _WIDE_BYTES:
-        return np.multiply(gathered, half, out=gathered)
     return np.multiply(half, gathered, out=gathered)
 
 
@@ -185,7 +164,6 @@ def optimize_params(
         raise ValueError("budget must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    _check_qubits(g.n)
     table = cut_value_table(g)
     half0 = _initial_half(g.n)
 

@@ -4,10 +4,10 @@ Graphs larger than the qubit budget are split at the first separator path
 that disconnects them (the empty path when already disconnected) until
 every piece fits; then the leaves are solved and the two sampling
 distributions of each split are merged under the combination criterion (a
-plain product when the sides share no node). Separator nodes with no edge
-on the second side are solved only on the first side. At every tree node
-the map is re-ranked by true cut size, truncated to the top-t entries, and
-rescaled to a fixed total count.
+plain product when the sides share no node). Each split solves exactly the
+two subgraphs ``nlgp`` returns. At every tree node the map is re-ranked by
+true cut size, truncated to the top-t entries, and rescaled to a fixed total
+count.
 
 Leaves share optimized angles within one solve: the first leaf of each
 ``graphs.refined_form`` key (in pre-order) runs the optimizer, and later
@@ -155,11 +155,6 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
             continue
         split = nlgp(sub, cfg.k)
         g1, g2 = split.subgraphs
-        # g1 holds the separator-internal edges and fixes every separator bit,
-        # so g2 drops the separator nodes left without an edge on its side
-        edgeless = [v for v in split.separator if not g2.adjacency[v]]
-        if edgeless:
-            g2 = Graph(nodes=tuple(v for v in g2.nodes if v not in edgeless), edges=g2.edges)
         node.separator = split.separator
         node.children = [PartitionNode(nodes=g1.nodes), PartitionNode(nodes=g2.nodes)]
         # g1 goes on top, so its whole subtree comes next in pre-order

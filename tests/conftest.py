@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcqaoa import Graph, SolutionMap
 from dcqaoa.graphs import components_excluding
 import dcqaoa.qaoa as qaoa
-from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, build_initial_state, cut_value_table
+from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, cut_value_table
 from dcqaoa.reconstruction import scheme_function
 
 
@@ -20,15 +20,17 @@ settings.load_profile("deterministic")
 
 
 def check_separation_invariants(g, split):
-    """Assert every structural guarantee of a separator-path split."""
+    """Assert every structural guarantee of a separator-path split: every
+    separator node is in g1, and in g2 exactly when it has an edge there."""
     sep = set(split.separator)
     g1, g2 = split.subgraphs
     for gi in (g1, g2):
         assert Graph.from_edges(gi.edges, nodes=gi.nodes) == gi
     n1, n2 = set(g1.nodes), set(g2.nodes)
-    assert sep <= n1 and sep <= n2
+    assert sep <= n1
+    assert n2 & sep == sep & {v for e in g2.edges for v in e}
     assert n1 | n2 == set(g.nodes)
-    assert n1 & n2 == sep
+    assert n1 & n2 == n2 & sep
     e1, e2 = set(g1.edges), set(g2.edges)
     assert e1 | e2 == set(g.edges)
     assert not (e1 & e2)
@@ -92,12 +94,18 @@ def qaoa_expectation(g: Graph, params) -> float:
     return _expectation_of(_evolve(_initial_half(g.n), table, params.layers), table)
 
 
+def build_initial_state(n: int) -> np.ndarray:
+    """Uniform superposition over all 2^n amplitudes: the full-state oracle
+    for qaoa._initial_half."""
+    return np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+
+
 def full_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Full-state cost layer as the simulator had it before the half-state
-    kernels. From 256 KiB on, numpy reuses the gathered temporary in place,
-    so `state * phases[table]` evaluates `phases * state` there."""
+    """Full-state cost layer: one phase per cut value, gathered by the table.
+    A function call, not the `*` operator, so numpy cannot reuse the gathered
+    temporary in place and the operand order stays state first."""
     phases = np.exp(-1j * gamma * np.arange(table.max() + 1, dtype=np.float64))
-    return state * phases[table]
+    return np.multiply(state, phases[table])
 
 
 def full_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:

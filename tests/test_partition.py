@@ -125,6 +125,19 @@ class TestNlgp:
             assert g1.nodes == tuple(range(leaves // 2 + 1))
             assert g2.nodes == (0, *range(leaves // 2 + 1, leaves + 1))
 
+    def test_separator_node_without_edge_on_side_two_stays_on_side_one(self):
+        # K2,3 splits at the path (0, 1, 4); node 1's edges (0, 1) and (1, 4)
+        # are separator-internal and go to g1, so g2 leaves node 1 out
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        split = nlgp(g, 4)
+        check_separation_invariants(g, split)
+        g1, g2 = split.subgraphs
+        assert split.separator == (0, 1, 4)
+        assert g1.nodes == (0, 1, 2, 4)
+        assert g1.edges == ((0, 1), (0, 2), (1, 4), (2, 4))
+        assert g2.nodes == (0, 3, 4)
+        assert g2.edges == ((0, 3), (3, 4))
+
     @given(forests(), st.integers(2, 8))
     def test_every_forest_splits(self, g, k):
         assume(g.n > k)

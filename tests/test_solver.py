@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcqaoa import qaoa
@@ -16,6 +16,7 @@ from dcqaoa import (
     dc_qaoa,
     dc_qaoa_traced,
     expectation_value,
+    nlgp,
     qaoa_maxcut,
     random_chain_graph,
     rerank_by_cut,
@@ -133,7 +134,7 @@ class TestDcQaoa:
         # the star splits at its centre into the halves {1} and {2, 3}; K2,3
         # splits at the path (0, 1, 4), which leaves node 1 with no edge on
         # the second side: g1 holds the separator edges (0, 1) and (1, 4) and
-        # so fixes node 1's bit, and g2 drops it
+        # so fixes node 1's bit, and nlgp leaves it out of g2
         cases = [
             (Graph.from_edges([(0, 1), (0, 2), (0, 3)]), 3, [(0, 1), (0, 2, 3)], 3),
             (
@@ -319,7 +320,46 @@ class TestDcConfig:
             DcConfig(**kwargs)
 
 
+K23 = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+# random_graph(9, 0.4, 4): at k = 4 a separator node is edgeless on side 2
+# of the splits at depths 1, 2 and 3
+ER9 = Graph.from_edges([
+    (0, 4), (0, 5), (0, 6), (0, 8), (1, 2), (1, 5), (2, 4), (2, 7),
+    (3, 4), (3, 6), (4, 5), (4, 8), (5, 7), (6, 8), (7, 8),
+])
+
+
+def split_by_hand(g, k):
+    """nlgp recursed from g, g1's subtree first: (nodes, separator) in pre-order."""
+    if g.n <= k:
+        return [(g.nodes, ())]
+    split = nlgp(g, k)
+    g1, g2 = split.subgraphs
+    return [(g.nodes, split.separator), *split_by_hand(g1, k), *split_by_hand(g2, k)]
+
+
 class TestPartitionTree:
+    # drawn graphs rarely hold a separator node with no edge on side 2, so
+    # two that do are given explicitly
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=9), st.integers(2, 4))
+    @example(K23, 4)
+    @example(ER9, 4)
+    def test_tree_is_nlgp_recursed_by_hand(self, g, k):
+        # the solver solves exactly the subgraphs nlgp returns
+        cfg = DcConfig(k=k, s=200, t=8, seed=3, budget=10, restarts=1)
+        try:
+            expected = split_by_hand(g, k)
+        except ConnectivityExceededError:
+            with pytest.raises(ConnectivityExceededError):
+                dc_qaoa_traced(g, cfg)
+            return
+        try:
+            _, tree = dc_qaoa_traced(g, cfg)
+        except ReconstructionError:
+            return
+        assert [(node.nodes, node.separator) for node in tree.preorder()] == expected
+
     def test_single_leaf_when_graph_fits(self):
         cfg = DcConfig(k=8, seed=2, budget=40, restarts=1)
         _, tree = dc_qaoa_traced(toy_graph(), cfg)
