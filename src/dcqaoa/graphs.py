@@ -2,7 +2,7 @@
 
 Conventions used everywhere in this package:
 
-* Nodes are non-negative integer labels; a graph stores them sorted.
+* Nodes are integer labels in [0, 2^63); a graph stores them sorted.
 * A cut assignment gives bit ``j`` to the ``j``-th smallest node of the
   associated node set (1 = cut set S, 0 = complement). Inside the package
   it is a 0/1 ``uint8`` row; as text it is a string over ``{0,1}``.
@@ -64,8 +64,9 @@ class Graph:
                 raise GraphValidationError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
             node_set.update(e)
-        if any(n < 0 for n in node_set):
-            raise GraphValidationError("negative node label")
+        # labels must fit int64: numpy finds bit positions (edge_positions, combine)
+        if any(not 0 <= n < 1 << 63 for n in node_set):
+            raise GraphValidationError("node label outside [0, 2^63)")
         return cls(nodes=tuple(sorted(node_set)), edges=tuple(sorted(seen)))
 
     @property
@@ -75,11 +76,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        """Map node label -> bit position (rank in the sorted node tuple)."""
-        return {v: i for i, v in enumerate(self.nodes)}
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -92,10 +88,7 @@ class Graph:
     @cached_property
     def edge_positions(self) -> np.ndarray:
         """(m, 2) array of bit positions for each edge, for vectorized cuts."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        idx = self.index
-        return np.array([(idx[u], idx[v]) for u, v in self.edges], dtype=np.int64)
+        return np.searchsorted(self.nodes, np.reshape(self.edges, (-1, 2)))
 
     def digest(self) -> str:
         """Stable content hash of the canonical serialization."""
@@ -324,18 +317,26 @@ def random_chain_graph(n: int, seed: int) -> Graph:
 
 
 def chain_maxcut(g: Graph) -> int:
-    """Exact MaxCut for graphs whose biconnected blocks share single nodes.
+    """Exact MaxCut of any graph: the sum of its biconnected blocks' optima.
 
-    Blocks are edge-disjoint and meet only at cut vertices, so the optimum
-    is the sum of per-block optima (each block can be complemented to agree
-    on its shared node). Valid for the random_chain_graph family.
+    Blocks are edge-disjoint and meet at cut vertices in a forest, so each
+    block's optimum can be flipped to agree with its parent on their shared
+    node. A block B costs 2^(|B|-1) assignments; raises SizeLimitError,
+    before any enumeration, when the blocks cost more in total than one
+    brute force of BRUTE_FORCE_LIMIT nodes. Every graph of at most
+    BRUTE_FORCE_LIMIT nodes fits, since its blocks cost at most 2^(n-1).
     """
-    total = 0
-    for block_nodes, block_edges in _biconnected_blocks(g):
-        sub = Graph.from_edges(block_edges, nodes=block_nodes)
-        block_best, _ = brute_force_maxcut(sub)
-        total += block_best
-    return total
+    blocks = _biconnected_blocks(g)
+    cost = sum(1 << (len(nodes) - 1) for nodes, _ in blocks)
+    budget = 1 << (BRUTE_FORCE_LIMIT - 1)
+    if cost > budget:
+        raise SizeLimitError(
+            f"blocks need {cost} assignments, over the {budget} of a "
+            f"{BRUTE_FORCE_LIMIT}-node brute force"
+        )
+    return sum(
+        brute_force_maxcut(Graph.from_edges(edges, nodes=nodes))[0] for nodes, edges in blocks
+    )
 
 
 def _biconnected_blocks(g: Graph):

@@ -58,9 +58,6 @@ class AnsatzParams:
     def p(self) -> int:
         return len(self.layers)
 
-    def as_flat(self) -> np.ndarray:
-        return np.array([a for pair in self.layers for a in pair], dtype=float)
-
     @classmethod
     def from_flat(cls, x) -> "AnsatzParams":
         x = list(x)

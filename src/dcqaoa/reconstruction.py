@@ -57,18 +57,16 @@ def combine(
     in_g1 = set(g1.nodes)
     common = [v for v in g2.nodes if v in in_g1]
     union_nodes = tuple(sorted(in_g1.union(g2.nodes)))
-    column = {v: i for i, v in enumerate(union_nodes)}
-    pos1, pos2 = g1.index, g2.index
 
     # pairs (i1, i2) in m1 entry order, then m2 entry order
-    sig1 = m1.rows[:, [pos1[v] for v in common]]
-    sig2 = m2.rows[:, [pos2[v] for v in common]]
+    sig1 = m1.rows[:, np.searchsorted(g1.nodes, common)]
+    sig2 = m2.rows[:, np.searchsorted(g2.nodes, common)]
     i1, i2 = np.nonzero((sig1[:, None, :] == sig2[None, :, :]).all(axis=2))
 
     # matched pairs agree on the common columns, so either side may write them
     merged = np.empty((len(i1), len(union_nodes)), dtype=np.uint8)
-    merged[:, [column[v] for v in g2.nodes]] = m2.rows[i2]
-    merged[:, [column[v] for v in g1.nodes]] = m1.rows[i1]
+    merged[:, np.searchsorted(union_nodes, g2.nodes)] = m2.rows[i2]
+    merged[:, np.searchsorted(union_nodes, g1.nodes)] = m1.rows[i1]
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
     return SolutionMap.from_rows(union_nodes, merged, counts)

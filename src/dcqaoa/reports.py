@@ -6,14 +6,8 @@ import json
 from dataclasses import asdict
 
 from .baselines import greedy_local_search
-from .graphs import (
-    BRUTE_FORCE_LIMIT,
-    Graph,
-    SolutionMap,
-    best_sampled_cut,
-    brute_force_maxcut,
-    expectation_value,
-)
+from .errors import SizeLimitError
+from .graphs import Graph, SolutionMap, best_sampled_cut, chain_maxcut, expectation_value
 from .seeds import derive_seed
 from .solver import DcConfig, PartitionNode, tree_nrl
 
@@ -26,17 +20,18 @@ def reference_optimum(
 ) -> tuple[int, str]:
     """Denominator for approximation ratios.
 
-    Exact brute force when the graph is small enough; otherwise the best
-    cut found by any method in play plus a long local search, flagged as a
-    lower-bound-relative reference.
+    The exact optimum, block by block (chain_maxcut), whenever g's blocks fit
+    one brute-force budget; otherwise the best cut found by any method in
+    play plus a long local search, flagged as a lower-bound-relative
+    reference.
     """
-    if g.n <= BRUTE_FORCE_LIMIT:
-        max_cut, _ = brute_force_maxcut(g)
-        return max_cut, "brute_force"
-    local = greedy_local_search(
-        g, seed=derive_seed(seed, "reference"), restarts=REFERENCE_RESTARTS
-    )
-    return max([local.best_cut, *candidate_cuts]), "best_of_suite"
+    try:
+        return chain_maxcut(g), "brute_force"
+    except SizeLimitError:
+        local = greedy_local_search(
+            g, seed=derive_seed(seed, "reference"), restarts=REFERENCE_RESTARTS
+        )
+        return max([local.best_cut, *candidate_cuts]), "best_of_suite"
 
 
 def approximation_ratio(cut: float, reference_cut: int) -> float:

@@ -46,9 +46,14 @@ def check_separation_invariants(g, split):
     assert n2 - sep == set().union(*comps[half:])
 
 
+def positions(g: Graph) -> dict[int, int]:
+    """Map node label -> bit position (rank in the sorted node tuple)."""
+    return {v: i for i, v in enumerate(g.nodes)}
+
+
 def naive_cut_size(g: Graph, assignment: str) -> int:
     """Per-edge string loop: the oracle for graphs.cut_values."""
-    idx = g.index
+    idx = positions(g)
     return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
 
 
@@ -57,7 +62,7 @@ def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, schem
     reconstruction.combine. Returns (union nodes, {merged string: count})."""
     fn = scheme_function(scheme)
     common = sorted(set(g1.nodes) & set(g2.nodes))
-    pos1, pos2 = g1.index, g2.index
+    pos1, pos2 = positions(g1), positions(g2)
     union_nodes = tuple(sorted(set(g1.nodes) | set(g2.nodes)))
     picks = [(0, pos1[v]) if v in pos1 else (1, pos2[v]) for v in union_nodes]
     by_signature = {}

@@ -12,14 +12,15 @@ from dcqaoa import (
 from dcqaoa import baselines
 from dcqaoa.graphs import cut_values
 from dcqaoa.seeds import derive_seed
-from conftest import cycle_graph, graphs, k2, naive_cut_size, path_graph, triangle
+from conftest import cycle_graph, graphs, k2, naive_cut_size, path_graph, positions, triangle
 
 
 def greedy_loop(g, seed, restarts):
     """Node-by-node greedy climb: (assignment, cut, evaluations), the oracle
     for the vectorized gain scan in greedy_local_search."""
     n = g.n
-    adj_pos = {g.index[v]: [g.index[w] for w in nbrs] for v, nbrs in g.adjacency.items()}
+    pos = positions(g)
+    adj_pos = {pos[v]: [pos[w] for w in nbrs] for v, nbrs in g.adjacency.items()}
     best_bits, best_cut, evaluations = None, -1, 0
     for r in range(restarts):
         rng = np.random.default_rng(derive_seed(seed, "restart", r))

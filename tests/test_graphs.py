@@ -33,7 +33,7 @@ from dcqaoa.graphs import (
     serialize_edge_list,
 )
 from dcqaoa.qaoa import cut_value_table
-from dcqaoa.reports import approximation_ratio
+from dcqaoa.reports import approximation_ratio, reference_optimum
 from conftest import (
     brute_force_form,
     complete_graph,
@@ -305,6 +305,46 @@ class TestApproximationRatio:
         assert approximation_ratio(best_sampled_cut(triangle(), m), 4) == 0.5
 
 
+def two_k24_at_one_node() -> Graph:
+    """Two complete 24-node graphs sharing node 23: 47 nodes in two blocks."""
+    return Graph.from_edges(
+        complete_graph(24).edges + tuple((u + 23, v + 23) for u, v in complete_graph(24).edges)
+    )
+
+
+def chain_of(blocks) -> Graph:
+    """The blocks glued in a chain, each one's node 0 on the last node of the one before."""
+    edges, offset = [], 0
+    for block in blocks:
+        edges += [(u + offset, v + offset) for u, v in block.edges]
+        offset += block.n - 1
+    return Graph.from_edges(edges)
+
+
+class TestReferenceOptimum:
+    def test_small_blocks_beyond_24_nodes_give_the_exact_optimum(self):
+        # four 8-node blocks: 29 nodes, 4 * 2^7 block assignments to enumerate
+        blocks = [random_graph(8, 0.5, seed) for seed in range(30, 34)]
+        g = chain_of(blocks)
+        assert g.n == 29
+        optimum = sum(brute_force_maxcut(b)[0] for b in blocks)
+        assert optimum == 44
+        # the local search alone reaches only 42 here
+        assert reference_optimum(g, [40], seed=0) == (optimum, "brute_force")
+
+    @pytest.mark.parametrize(
+        "g, optimum",
+        [(cycle_graph(25), 24), (two_k24_at_one_node(), 288)],
+        ids=["C25", "two K24 at one node"],
+    )
+    def test_beyond_the_budget_falls_back_to_best_of_suite(self, g, optimum):
+        with mock.patch("dcqaoa.graphs.brute_force_maxcut", side_effect=AssertionError):
+            with pytest.raises(SizeLimitError):
+                chain_maxcut(g)
+            assert reference_optimum(g, [1], seed=0) == (optimum, "best_of_suite")
+            assert reference_optimum(g, [optimum + 1], seed=0) == (optimum + 1, "best_of_suite")
+
+
 class TestSolutionMap:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -395,6 +435,12 @@ class TestChainGraphs:
             g = random_chain_graph(14, seed)
             assert chain_maxcut(g) == brute_force_maxcut(g)[0]
 
+    @given(graphs(max_nodes=10))
+    @example(Graph.from_edges(nodes=[3, 7]))
+    @example(Graph.from_edges([(0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (5, 7)], nodes=[9]))
+    def test_exact_optimum_of_any_graph_matches_brute_force(self, g):
+        assert chain_maxcut(g) == brute_force_maxcut(g)[0]
+
     def test_connected_and_sized(self):
         for seed in range(10):
             g = random_chain_graph(40, seed)
@@ -465,3 +511,17 @@ def test_graph_factory_validation():
         Graph.from_edges([(0, 1), (1, 0)])
     with pytest.raises(GraphValidationError):
         Graph.from_edges([(-1, 2)])
+    with pytest.raises(GraphValidationError):
+        Graph.from_edges(nodes=[-1])
+
+
+def test_labels_beyond_int64_rejected():
+    # numpy would compare a uint64 label with int64 ones as float64, where
+    # labels above 2^53 collapse and bit positions come out wrong
+    big = 1 << 60
+    with pytest.raises(GraphValidationError):
+        Graph.from_edges([(big, big + 1)], nodes=[1 << 63])
+    with pytest.raises(GraphValidationError):
+        parse_edge_list(f"{big} {big + 1}\n{1 << 63}")
+    g = Graph.from_edges([(big, big + 1)], nodes=[(1 << 63) - 1])
+    assert g.edge_positions.tolist() == [[0, 1]]

@@ -17,7 +17,7 @@ from dcqaoa import (
 )
 from dcqaoa.graphs import index_rows
 from dcqaoa.reconstruction import KL_SMOOTHING, SCHEMES
-from conftest import graphs, naive_cut_size, string_combine, toy_graph, triangle
+from conftest import graphs, naive_cut_size, positions, string_combine, toy_graph, triangle
 
 
 def toy_halves():
@@ -187,8 +187,8 @@ class TestCombineOracle:
     def test_maps_disagreeing_on_every_pair_give_empty_map(self, pair, scheme):
         g1, g2, m1, m2 = pair
         # the first common node is 0 on every m1 row and 1 on every m2 row
-        node = next(v for v in g1.nodes if v in g2.index)
-        i1, i2 = g1.index[node], g2.index[node]
+        node = next(v for v in g1.nodes if v in g2.nodes)
+        i1, i2 = positions(g1)[node], positions(g2)[node]
         m1 = SolutionMap(g1.nodes, {a: c for a, c in m1.counts.items() if a[i1] == "0"})
         m2 = SolutionMap(g2.nodes, {a: c for a, c in m2.counts.items() if a[i2] == "1"})
         out = combine(g1, g2, m1, m2, scheme)
