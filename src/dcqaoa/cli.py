@@ -352,9 +352,10 @@ def _cmd_compare(args) -> int:
 def _suite_paths(directory: str, seed: int) -> list[str]:
     """Default comparison suite: sparse block-chain graphs across sizes.
 
-    Erdős–Rényi samples routinely embed long induced cycles, which the
-    path-separator search cannot split, so the default suite uses the chain
-    family where the solver's precondition holds at every level of the tree.
+    Chains split at a single cut vertex at every level of the tree, so the
+    separator search stays cheap and the reference optimum exact at every
+    size; Erdős–Rényi samples of these sizes can need separators of k or
+    more nodes, or take long to search when dense.
     """
     os.makedirs(directory, exist_ok=True)
     paths = []

@@ -31,25 +31,24 @@ class SizeLimitError(DcqaoaError):
 
 
 class ConnectivityExceededError(DcqaoaError):
-    """No node-separator path shorter than the qubit budget disconnects the graph."""
+    """No node set smaller than the qubit budget disconnects the graph."""
 
     def __init__(self, k: int, n_nodes: int):
         self.k = k
         self.n_nodes = n_nodes
         super().__init__(
             f"graph with {n_nodes} nodes has connectivity at or above k={k}; "
-            f"no separator path of fewer than {k} nodes disconnects it"
+            f"no set of fewer than {k} nodes disconnects it"
         )
 
 
 class ReconstructionError(DcqaoaError):
     """Combining sub-solutions produced an empty map at some tree depth."""
 
-    def __init__(self, depth: int, nodes: tuple[int, ...], stage: str = "combine"):
+    def __init__(self, depth: int, nodes: tuple[int, ...]):
         self.depth = depth
         self.nodes = nodes
-        self.stage = stage
         super().__init__(
-            f"empty solution map after {stage} at tree depth {depth} "
+            f"empty solution map after combine at tree depth {depth} "
             f"(subproblem on {len(nodes)} nodes)"
         )

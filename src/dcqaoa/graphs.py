@@ -294,7 +294,7 @@ def random_chain_graph(n: int, seed: int) -> Graph:
     """Random chain of small complete blocks glued at single shared nodes.
 
     Produces sparse connected graphs whose biconnected pieces stay tiny, so
-    single-node separator paths exist at every recursion level. This is the
+    single-node separators exist at every recursion level. This is the
     benchmark family for large instances: the separator search is cheap and
     exact optima decompose block-by-block (see chain_maxcut).
     """

@@ -1,7 +1,7 @@
 """Divide-and-conquer MaxCut driver.
 
-Graphs larger than the qubit budget are split at the first separator path
-that disconnects them (the empty path when already disconnected) until
+Graphs larger than the qubit budget are split at the first smallest node
+set that disconnects them (the empty set when already disconnected) until
 every piece fits; then the leaves are solved and the two sampling
 distributions of each split are merged under the combination criterion (a
 plain product when the sides share no node). Each split solves exactly the
@@ -118,15 +118,22 @@ def abridge(m: SolutionMap, t: int) -> SolutionMap:
 
 
 def rescale(m: SolutionMap, s: int) -> SolutionMap:
-    """Floor-rescale counts so the total is s or slightly below; zeros dropped."""
+    """Rescale counts to a total of at most s without dropping a row s allows.
+
+    Each count becomes floor(s * c / total) when none of them floors to zero.
+    Otherwise each of the first r = min(|m|, s) rows gets
+    1 + floor((s - r) * c / total), so every kept row counts at least 1.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     total = m.total()
     if total <= 0:
         raise ValueError("cannot rescale a map with zero total count")
     scaled = [(s * c) // total for c in m.row_counts]
-    kept = [i for i, c in enumerate(scaled) if c > 0]
-    return m.take(kept, [scaled[i] for i in kept])
+    if 0 in scaled:
+        r = min(len(scaled), s)
+        scaled = [1 + ((s - r) * c) // total for c in m.row_counts[:r]]
+    return m.take(list(range(len(scaled))), scaled)
 
 
 def dc_qaoa(g: Graph, cfg: DcConfig) -> SolutionMap:
@@ -173,12 +180,10 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
             (g1, m1), (g2, m2) = done.pop(), done.pop()
             out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
             if not out.row_counts:
-                raise ReconstructionError(depth, sub.nodes, stage="combine")
+                raise ReconstructionError(depth, sub.nodes)
         out = rerank_by_cut(sub, out)
         out = abridge(out, cfg.t)
         out = rescale(out, cfg.s)
-        if not out.row_counts:
-            raise ReconstructionError(depth, sub.nodes, stage="rescale")
         done.append((sub, out))
     return done[0][1], root
 

@@ -12,10 +12,10 @@ from dcqaoa import (
     random_graph,
 )
 from dcqaoa.graphs import components_excluding
-from dcqaoa.partition import iter_paths
 from conftest import (
     check_separation_invariants,
     complete_graph,
+    cycle_graph,
     forests,
     graphs,
     path_graph,
@@ -24,47 +24,8 @@ from conftest import (
 )
 
 
-def all_paths_oracle(g, length):
-    """Independent simple-path enumeration via permutations, up to reversal."""
-    adj = {v: set(nb) for v, nb in g.adjacency.items()}
-    found = set()
-    for perm in itertools.permutations(g.nodes, length):
-        if all(perm[i + 1] in adj[perm[i]] for i in range(length - 1)):
-            found.add(min(perm, perm[::-1]))
-    return sorted(list(p) for p in found)
-
-
 def disconnects(g, nodes_removed):
     return len(components_excluding(g, set(nodes_removed))) >= 2
-
-
-class TestEnumeratePaths:
-    def test_single_nodes(self):
-        assert list(iter_paths(triangle(), 1)) == [[0], [1], [2]]
-
-    def test_triangle_edges(self):
-        assert list(iter_paths(triangle(), 2)) == [[0, 1], [0, 2], [1, 2]]
-
-    def test_path_graph_full_length(self):
-        assert list(iter_paths(path_graph(3), 3)) == [[0, 1, 2]]
-
-    def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            list(iter_paths(triangle(), -1))
-
-    def test_empty_path(self):
-        assert list(iter_paths(triangle(), 0)) == [[]]
-
-    def test_matches_permutation_oracle(self, rng):
-        for _ in range(8):
-            g = random_graph(int(rng.integers(4, 9)), 0.5, seed=int(rng.integers(0, 10**6)))
-            for length in (2, 3):
-                assert list(iter_paths(g, length)) == all_paths_oracle(g, length)
-
-    def test_lexicographic_order(self):
-        g = complete_graph(4)
-        paths = list(iter_paths(g, 3))
-        assert paths == sorted(paths)
 
 
 class TestNlgp:
@@ -125,18 +86,46 @@ class TestNlgp:
             assert g1.nodes == tuple(range(leaves // 2 + 1))
             assert g2.nodes == (0, *range(leaves // 2 + 1, leaves + 1))
 
-    def test_separator_node_without_edge_on_side_two_stays_on_side_one(self):
-        # K2,3 splits at the path (0, 1, 4); node 1's edges (0, 1) and (1, 4)
-        # are separator-internal and go to g1, so g2 leaves node 1 out
+    def test_k23_splits_at_its_two_hubs(self):
+        # no single node disconnects K2,3; the hubs 0 and 4 are the first
+        # pair that does, and each of them is in both subgraphs
         g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         split = nlgp(g, 4)
         check_separation_invariants(g, split)
         g1, g2 = split.subgraphs
-        assert split.separator == (0, 1, 4)
-        assert g1.nodes == (0, 1, 2, 4)
-        assert g1.edges == ((0, 1), (0, 2), (1, 4), (2, 4))
-        assert g2.nodes == (0, 3, 4)
-        assert g2.edges == ((0, 3), (3, 4))
+        assert split.separator == (0, 4)
+        assert g1.nodes == (0, 1, 4)
+        assert g1.edges == ((0, 1), (1, 4))
+        assert g2.nodes == (0, 2, 3, 4)
+        assert g2.edges == ((0, 2), (0, 3), (2, 4), (3, 4))
+
+    @pytest.mark.parametrize("n", [5, 9, 24])
+    def test_cycle_longer_than_k_splits_at_two_nodes(self, n):
+        # no path of fewer than k nodes disconnects a long cycle, but the
+        # pair (0, 2) cuts off node 1
+        g = cycle_graph(n)
+        split = nlgp(g, 4)
+        check_separation_invariants(g, split)
+        assert split.separator == (0, 2)
+        assert split.subgraphs[0].nodes == (0, 1, 2)
+
+    @given(graphs(max_nodes=9), st.integers(1, 8))
+    def test_separator_is_the_first_smallest_disconnecting_set(self, g, k):
+        assume(g.n > k)
+        # every disconnecting set of fewer than k nodes, in combinations order
+        candidates = [
+            c
+            for size in range(k)
+            for c in itertools.combinations(g.nodes, size)
+            if disconnects(g, c)
+        ]
+        try:
+            split = nlgp(g, k)
+        except ConnectivityExceededError:
+            assert not candidates
+            return
+        check_separation_invariants(g, split)
+        assert split.separator == candidates[0]
 
     @given(forests(), st.integers(2, 8))
     def test_every_forest_splits(self, g, k):
@@ -180,7 +169,7 @@ class TestSeparationInvariants:
         assert checked >= 30
 
     def test_minimality_small_graphs(self, rng):
-        # no shorter path, the empty one included, disconnects the graph
+        # no smaller node set, the empty one included, disconnects the graph
         verified = 0
         for _ in range(25):
             n = int(rng.integers(5, 13))
@@ -190,8 +179,8 @@ class TestSeparationInvariants:
                 split = nlgp(g, k)
             except ConnectivityExceededError:
                 continue
-            for shorter in range(len(split.separator)):
-                for candidate in all_paths_oracle(g, shorter):
+            for smaller in range(len(split.separator)):
+                for candidate in itertools.combinations(g.nodes, smaller):
                     assert not disconnects(g, candidate)
             verified += 1
         assert verified >= 10

@@ -29,7 +29,9 @@ from dcqaoa.graphs import refined_form
 from conftest import (
     brute_force_form,
     complete_graph,
+    count_maps,
     cycle_graph,
+    floor_rescale,
     forests,
     graphs,
     isomorphic,
@@ -83,10 +85,27 @@ class TestRescale:
         assert rescale(m, 1000).counts == {"01": 750, "10": 250}
 
     def test_floor_drops_small_entries(self):
+        # s allows only two rows of count 1, so the first two stay
         m = SolutionMap((0, 1), {"00": 1, "01": 1, "10": 1})
         out = rescale(m, 2)
-        assert out.total() <= 2
-        assert all(c > 0 for c in out.counts.values())
+        assert out.counts == {"00": 1, "01": 1}
+
+    def test_row_that_floors_to_zero_is_kept(self):
+        # the plain floor gives 49 and 0; each row gets 1 + floor(48 * c / 101)
+        m = SolutionMap((0, 1), {"01": 100, "10": 1})
+        assert floor_rescale(m, 50).counts == {"01": 49}
+        assert rescale(m, 50).counts == {"01": 48, "10": 1}
+
+    @given(count_maps(), st.integers(1, 2000))
+    def test_keeps_every_row_s_allows(self, m, s):
+        out = rescale(m, s)
+        r = min(len(m.row_counts), s)
+        assert list(out.counts) == list(m.counts)[:r]
+        assert all(c >= 1 for c in out.row_counts)
+        assert out.total() <= s
+        oracle = floor_rescale(m, s)
+        if len(oracle.row_counts) == len(m.row_counts):
+            assert out.counts == oracle.counts
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
@@ -131,16 +150,15 @@ class TestDcQaoa:
         assert list(a.counts.items()) == list(b.counts.items())
 
     def test_isolated_separator_node_in_child(self):
-        # the star splits at its centre into the halves {1} and {2, 3}; K2,3
-        # splits at the path (0, 1, 4), which leaves node 1 with no edge on
-        # the second side: g1 holds the separator edges (0, 1) and (1, 4) and
-        # so fixes node 1's bit, and nlgp leaves it out of g2
+        # the star splits at its centre into the halves {1} and {2, 3}, and
+        # K2,3 at its hubs (0, 4) into {1} and {2, 3}; every separator node
+        # is in both children
         cases = [
             (Graph.from_edges([(0, 1), (0, 2), (0, 3)]), 3, [(0, 1), (0, 2, 3)], 3),
             (
                 Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
                 4,
-                [(0, 1, 2, 4), (0, 3, 4)],
+                [(0, 1, 4), (0, 2, 3, 4)],
                 6,
             ),
         ]
@@ -194,6 +212,12 @@ class TestDcQaoa:
         cfg = DcConfig(k=8, s=2000, t=20, seed=6, budget=60, restarts=2)
         sol = dc_qaoa(g, cfg)
         assert best_sampled_cut(g, sol) / chain_maxcut(g) >= 0.97
+
+    def test_cycle_longer_than_k_reaches_optimum(self):
+        # no path of fewer than k nodes separates a long cycle; a node pair does
+        g = cycle_graph(24)
+        sol = dc_qaoa(g, DcConfig(k=8, budget=60, restarts=2))
+        assert best_sampled_cut(g, sol) == chain_maxcut(g) == 24
 
     def test_expectation_tracks_counts(self):
         cfg = DcConfig(k=4, seed=11, budget=60, restarts=2)
@@ -320,9 +344,10 @@ class TestDcConfig:
             DcConfig(**kwargs)
 
 
+# K2,3 splits at the two-node separator (0, 4)
 K23 = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-# random_graph(9, 0.4, 4): at k = 4 a separator node is edgeless on side 2
-# of the splits at depths 1, 2 and 3
+# random_graph(9, 0.4, 4): at k = 4 all five of its splits are at two-node
+# separators
 ER9 = Graph.from_edges([
     (0, 4), (0, 5), (0, 6), (0, 8), (1, 2), (1, 5), (2, 4), (2, 7),
     (3, 4), (3, 6), (4, 5), (4, 8), (5, 7), (6, 8), (7, 8),
@@ -339,8 +364,7 @@ def split_by_hand(g, k):
 
 
 class TestPartitionTree:
-    # drawn graphs rarely hold a separator node with no edge on side 2, so
-    # two that do are given explicitly
+    # two graphs that split only at two-node separators, given explicitly
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_nodes=9), st.integers(2, 4))
     @example(K23, 4)
