@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dcqaoa import Graph, SolutionMap
-from dcqaoa.graphs import components_excluding
+from dcqaoa.graphs import components_excluding, cut_values
 import dcqaoa.qaoa as qaoa
 from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, cut_value_table
 from dcqaoa.reconstruction import scheme_function
@@ -54,6 +54,24 @@ def floor_rescale(m: SolutionMap, s: int) -> SolutionMap:
     scaled = [(s * c) // total for c in m.row_counts]
     kept = [i for i, c in enumerate(scaled) if c > 0]
     return m.take(kept, [scaled[i] for i in kept])
+
+
+def blocked_random_search(g: Graph, budget: int, seed: int, block: int = 4096) -> tuple[str, int]:
+    """(assignment, cut) of the first best of `budget` rows drawn by
+    rng.integers and scored by graphs.cut_values `block` rows at a time: the
+    oracle for baselines.random_search. A block of a multiple of 4 rows spends
+    whole 32-bit words, so the blocks continue one draw of every row."""
+    rng = np.random.default_rng(seed)
+    best_cut, best_row = -1, None
+    for lo in range(0, budget, block):
+        rows = np.zeros((min(block, budget - lo), g.n), dtype=np.uint8)
+        if g.n > 1:
+            rows[:, 1:] = rng.integers(0, 2, size=(len(rows), g.n - 1), dtype=np.uint8)
+        cuts = cut_values(g, rows)
+        best = int(np.argmax(cuts))
+        if cuts[best] > best_cut:
+            best_cut, best_row = int(cuts[best]), rows[best]
+    return "".join(str(b) for b in best_row), best_cut
 
 
 def positions(g: Graph) -> dict[int, int]:

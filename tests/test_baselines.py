@@ -1,9 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcqaoa import (
+    Graph,
     greedy_local_search,
     random_chain_graph,
     random_graph,
@@ -12,7 +15,16 @@ from dcqaoa import (
 from dcqaoa import baselines
 from dcqaoa.graphs import cut_values
 from dcqaoa.seeds import derive_seed
-from conftest import cycle_graph, graphs, k2, naive_cut_size, path_graph, positions, triangle
+from conftest import (
+    blocked_random_search,
+    cycle_graph,
+    graphs,
+    k2,
+    naive_cut_size,
+    path_graph,
+    positions,
+    triangle,
+)
 
 
 def greedy_loop(g, seed, restarts):
@@ -60,11 +72,26 @@ def one_shot_random_search(g, budget, seed):
     return "".join(str(b) for b in rows[best]), int(cuts[best])
 
 
+def edgeless(n):
+    return Graph.from_edges([], nodes=range(n))
+
+
 class TestRandomSearch:
     @pytest.mark.parametrize("block", [4, 8, 12])
     @pytest.mark.parametrize("n", [2, 3, 6, 7, 10])
     @pytest.mark.parametrize("budget", [1, 5, 13, 30, 101])
-    def test_blocks_match_one_shot_oracle(self, monkeypatch, block, n, budget):
+    def test_blocks_match_one_shot_oracle(self, block, n, budget):
+        # the blocked oracle's own premise: blocks of whole 32-bit words
+        # continue one draw of every row
+        g = random_graph(n, 0.6, seed=n)
+        assert blocked_random_search(g, budget, budget + n, block) == one_shot_random_search(
+            g, budget, budget + n
+        )
+
+    @pytest.mark.parametrize("block", [64, 128, 192])
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 10])
+    @pytest.mark.parametrize("budget", [1, 5, 13, 30, 101])
+    def test_packed_blocks_match_one_shot_oracle(self, monkeypatch, block, n, budget):
         g = random_graph(n, 0.6, seed=n)
         monkeypatch.setattr(baselines, "_SEARCH_BLOCK_ROWS", block)
         result = random_search(g, budget=budget, seed=budget + n)
@@ -80,6 +107,60 @@ class TestRandomSearch:
         result = random_search(g, budget=budget, seed=0)
         assert (result.best_assignment, result.best_cut) == one_shot_random_search(g, budget, 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(graphs(max_nodes=12), st.integers(1, 12).map(edgeless)),
+        st.one_of(
+            st.integers(1, 3 * 4096 + 63),
+            st.sampled_from([63, 64, 65, 4095, 4096, 4097, 2 * 4096 + 1, 3 * 4096 + 63]),
+        ),
+        st.integers(0, 2**32),
+    )
+    @example(edgeless(1), 100, 0)
+    @example(k2(), 3 * 4096 + 63, 1)
+    @example(edgeless(2), 4097, 2)
+    def test_matches_blocked_oracle(self, g, budget, seed):
+        result = random_search(g, budget=budget, seed=seed)
+        assert (result.best_assignment, result.best_cut) == blocked_random_search(g, budget, seed)
+
+    @pytest.mark.parametrize("count", [8, 64, 4088, 8 * 4096, 511 * 4096])
+    @pytest.mark.parametrize("seed", [0, 90001])
+    def test_coins_follow_bounded_uint8_stream(self, count, seed):
+        bitgen = np.random.default_rng(seed).bit_generator
+        blocks = [baselines._coin_bytes(bitgen, count) >> 7 for _ in range(2)]
+        expected = np.random.default_rng(seed).integers(0, 2, size=2 * count, dtype=np.uint8)
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 63, 64, 65, 1000])
+    def test_packed_cuts_match_cut_values(self, m):
+        n = 50
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = np.random.default_rng(m).choice(len(pairs), size=m, replace=False)
+        g = Graph.from_edges([pairs[i] for i in picks], nodes=range(n))
+        coins = np.random.default_rng(m).integers(0, 256, size=(256, n - 1), dtype=np.uint8)
+        rows = np.zeros((256, n), dtype=np.uint8)
+        rows[:, 1:] = coins >> 7
+        cuts = baselines._packed_cuts(g, baselines._pack_rows(coins))
+        assert np.array_equal(cuts, cut_values(g, rows))
+        # every bit of every plane set: the count m carries through every weight
+        planes = np.full((m, 2), np.iinfo(np.uint64).max, dtype=np.uint64)
+        total = np.zeros(128, dtype=np.int64)
+        for j, plane in enumerate(baselines._count_planes(planes)):
+            total += np.unpackbits(plane.view(np.uint8)).astype(np.int64) << j
+        assert (total == m).all()
+
+    def test_pool_threads_match_serial_runs(self):
+        jobs = [
+            (random_chain_graph(128, seed=1), 3 * baselines._SEARCH_BLOCK_ROWS + 1000, 5),
+            (random_graph(40, 0.3, seed=1), 5 * baselines._SEARCH_BLOCK_ROWS + 17, 6),
+        ]
+        serial = [random_search(*job) for job in jobs]
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(random_search, *job) for job in jobs]
+            pooled = [f.result(timeout=60) for f in futures]
+        assert [(r.best_assignment, r.best_cut) for r in pooled] == [
+            (r.best_assignment, r.best_cut) for r in serial
+        ]
 
     def test_k2_small_budget_finds_cut(self):
         result = random_search(k2(), budget=10, seed=0)
