@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import hashlib
 
@@ -33,6 +33,26 @@ BRUTE_FORCE_LIMIT = 24
 _GENERATION_RETRIES = 200
 # row x edge entries gathered at once by cut_values
 _CUT_BLOCK_ELEMENTS = 1 << 20
+
+
+class Lowpoints(NamedTuple):
+    """Depth-first forest of a graph, one ``int32`` entry per node position.
+
+    ``disc`` is the pre-order index, ``low`` the smallest ``disc`` reachable
+    from the node's subtree by tree edges down and at most one non-tree
+    edge, ``size`` the subtree's node count and ``parent`` the tree parent's
+    position (-1 at a root). The nodes with ``disc`` in
+    ``[disc[c], disc[c] + size[c])`` are exactly c's subtree. Forests that
+    ``partition.nlgp`` hands to its pieces keep the parent's ``disc``,
+    ``low`` and ``size``, so their ``disc`` values need not be contiguous
+    and a root's ``low`` and ``size`` may count nodes the piece lacks; no
+    rule here reads either of a root.
+    """
+
+    disc: np.ndarray
+    low: np.ndarray
+    size: np.ndarray
+    parent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,6 +109,15 @@ class Graph:
     def edge_positions(self) -> np.ndarray:
         """(m, 2) array of bit positions for each edge, for vectorized cuts."""
         return np.searchsorted(self.nodes, np.reshape(self.edges, (-1, 2)))
+
+    @cached_property
+    def lowpoints(self) -> Lowpoints:
+        """Hopcroft-Tarjan lowpoint forest of one iterative DFS.
+
+        Roots are taken in node order, so each tree's root is its smallest
+        node; neighbours are visited in ascending order.
+        """
+        return _lowpoint_forest(self.n, self.edge_positions)
 
     def digest(self) -> str:
         """Stable content hash of the canonical serialization."""
@@ -340,57 +369,71 @@ def chain_maxcut(g: Graph) -> int:
 
 
 def _biconnected_blocks(g: Graph):
-    """(nodes, edges) per biconnected component, via Hopcroft-Tarjan lowpoints."""
-    adj = g.adjacency
-    visited: set[int] = set()
-    depth: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[tuple[int, int]] = []
-    blocks: list[tuple[set[int], list[tuple[int, int]]]] = []
+    """(nodes, edges) per biconnected component, read off ``g.lowpoints``.
 
-    def emit(until_edge):
-        block_edges = []
-        while stack:
-            e = stack.pop()
-            block_edges.append(e)
-            if e == until_edge:
-                break
-        nodes = {u for e in block_edges for u in e}
-        blocks.append((nodes, block_edges))
-
-    for root in g.nodes:
-        if root in visited:
+    A tree edge (p, c) with ``low[c] >= disc[p]`` opens a block: p, plus the
+    nodes below c that no deeper such edge claims. Every edge belongs to
+    the block of its deeper endpoint (the larger ``disc``).
+    """
+    forest = g.lowpoints
+    disc, low, parent = (a.tolist() for a in (forest.disc, forest.low, forest.parent))
+    # block[x] is the child position whose tree edge opened x's block
+    block = [-1] * g.n
+    nodes: dict[int, set[int]] = {}
+    for x in np.argsort(forest.disc).tolist():
+        p = parent[x]
+        if p < 0:
             continue
-        # iterative DFS, tracking tree edges and low-points
-        visited.add(root)
-        depth[root] = 0
-        low[root] = 0
-        frame = [(root, None, iter(adj[root]))]
-        while frame:
-            v, parent, nbrs = frame[-1]
-            advanced = False
-            for w in nbrs:
-                if w == parent:
-                    continue
-                if w not in visited:
-                    visited.add(w)
-                    depth[w] = depth[v] + 1
-                    low[w] = depth[w]
-                    stack.append((v, w))
-                    frame.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                elif depth[w] < depth[v]:
-                    stack.append((v, w))
-                    low[v] = min(low[v], depth[w])
-            if not advanced:
-                frame.pop()
-                if frame:
-                    u = frame[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= depth[u]:
-                        emit((u, v))
-    return blocks
+        if low[x] >= disc[p]:
+            block[x] = x
+            nodes[x] = {g.nodes[p]}
+        else:
+            block[x] = block[p]
+        nodes[block[x]].add(g.nodes[x])
+    edges: dict[int, list[tuple[int, int]]] = {b: [] for b in nodes}
+    for e, (u, v) in zip(g.edges, g.edge_positions.tolist()):
+        edges[block[u if disc[u] > disc[v] else v]].append(e)
+    return [(nodes[b], edges[b]) for b in nodes]
+
+
+def _lowpoint_forest(n: int, edge_positions: np.ndarray) -> Lowpoints:
+    """Lowpoint forest of the graph on positions 0..n-1 with these edges."""
+    # node v's neighbours, ascending, are neighbours[start[v]:start[v + 1]]
+    ends = np.concatenate((edge_positions, edge_positions[:, ::-1]))
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    neighbours = ends[:, 1].tolist()
+    start = np.searchsorted(ends[:, 0], np.arange(n + 1)).tolist()
+    # nxt[v] is the index of the next neighbour of v to scan
+    nxt = start[:-1]
+    disc, low, size, parent = [-1] * n, [0] * n, [1] * n, [-1] * n
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < start[v + 1]:
+                nxt[v] = i + 1
+                w = neighbours[i]
+                if disc[w] < 0:
+                    parent[w] = v
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append(w)
+                elif w != parent[v] and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1]
+                    size[p] += size[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+    return Lowpoints(*(np.array(a, dtype=np.int32) for a in (disc, low, size, parent)))
 
 
 def cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 import math
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dcqaoa import Graph, SolutionMap
+from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
 from dcqaoa.graphs import components_excluding, cut_values
+from dcqaoa.partition import SeparationResult
 import dcqaoa.qaoa as qaoa
 from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, cut_value_table
 from dcqaoa.reconstruction import scheme_function
@@ -45,6 +46,85 @@ def check_separation_invariants(g, split):
     assert n2 - sep == set().union(*comps[half:])
     for v in sep:
         assert all(not comp.isdisjoint(g.adjacency[v]) for comp in comps)
+
+
+def enumerated_nlgp(g: Graph, k: int) -> SeparationResult:
+    """Every separator size by `combinations` and `components_excluding`:
+    the oracle for partition.nlgp, whose sizes 0 and 1 read the forest."""
+    for size in range(k):
+        for separator in combinations(g.nodes, size):
+            comps = components_excluding(g, frozenset(separator))
+            if len(comps) >= 2:
+                half = len(comps) // 2
+                side1 = set(separator).union(*comps[:half])
+                side2 = set(separator).union(*comps[half:])
+                # separator-internal edges go to side 1 only
+                in1 = [u in side1 and v in side1 for u, v in g.edges]
+                edges1 = tuple(e for e, first in zip(g.edges, in1) if first)
+                edges2 = tuple(e for e, first in zip(g.edges, in1) if not first)
+                return SeparationResult(
+                    separator=separator,
+                    subgraphs=(
+                        Graph(nodes=tuple(sorted(side1)), edges=edges1),
+                        Graph(nodes=tuple(sorted(side2)), edges=edges2),
+                    ),
+                )
+    raise ConnectivityExceededError(k, g.n)
+
+
+def tarjan_biconnected_blocks(g: Graph):
+    """(nodes, edges) per biconnected component by a Hopcroft-Tarjan edge
+    stack over ``g.adjacency``: the oracle for graphs._biconnected_blocks."""
+    adj = g.adjacency
+    visited: set[int] = set()
+    depth: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[tuple[int, int]] = []
+    blocks: list[tuple[set[int], list[tuple[int, int]]]] = []
+
+    def emit(until_edge):
+        block_edges = []
+        while stack:
+            e = stack.pop()
+            block_edges.append(e)
+            if e == until_edge:
+                break
+        nodes = {u for e in block_edges for u in e}
+        blocks.append((nodes, block_edges))
+
+    for root in g.nodes:
+        if root in visited:
+            continue
+        # iterative DFS, tracking tree edges and low-points
+        visited.add(root)
+        depth[root] = 0
+        low[root] = 0
+        frame = [(root, None, iter(adj[root]))]
+        while frame:
+            v, parent, nbrs = frame[-1]
+            advanced = False
+            for w in nbrs:
+                if w == parent:
+                    continue
+                if w not in visited:
+                    visited.add(w)
+                    depth[w] = depth[v] + 1
+                    low[w] = depth[w]
+                    stack.append((v, w))
+                    frame.append((w, v, iter(adj[w])))
+                    advanced = True
+                    break
+                elif depth[w] < depth[v]:
+                    stack.append((v, w))
+                    low[v] = min(low[v], depth[w])
+            if not advanced:
+                frame.pop()
+                if frame:
+                    u = frame[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= depth[u]:
+                        emit((u, v))
+    return blocks
 
 
 def floor_rescale(m: SolutionMap, s: int) -> SolutionMap:
@@ -303,3 +383,46 @@ def forests(draw, max_trees=3, max_tree_nodes=10):
         offset += size
     labels = draw(st.permutations(range(offset)))
     return Graph.from_edges([(labels[u], labels[v]) for u, v in edges], nodes=labels)
+
+
+@st.composite
+def chains(draw, max_nodes=40):
+    """random_chain_graph samples on shuffled labels, so the smallest cut
+    vertex may sit anywhere along the chain."""
+    g = random_chain_graph(draw(st.integers(2, max_nodes)), draw(st.integers(0, 10**6)))
+    return relabel(g, dict(zip(g.nodes, draw(st.permutations(g.nodes)))))
+
+
+@st.composite
+def disjoint_unions(draw, min_parts=4, max_parts=6):
+    """Disjoint unions of at least `min_parts` small graphs on shuffled
+    labels, so they have at least that many components."""
+    parts = draw(st.lists(graphs(max_nodes=4), min_size=min_parts, max_size=max_parts))
+    edges, nodes, offset = [], [], 0
+    for part in parts:
+        shift = {v: offset + i for i, v in enumerate(part.nodes)}
+        nodes += shift.values()
+        edges += [(shift[u], shift[v]) for u, v in part.edges]
+        offset += part.n
+    labels = draw(st.permutations(range(offset)))
+    return Graph.from_edges([(labels[u], labels[v]) for u, v in edges], nodes=labels)
+
+
+@st.composite
+def cycles_with_pendants(draw, max_cycle=9, max_pendants=8):
+    """A cycle with trees hanging off it, on shuffled labels: the cycle
+    needs a two-node separator, and the trees below it cut vertices."""
+    length = draw(st.integers(4, max_cycle))
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    n = length + draw(st.integers(0, max_pendants))
+    edges += [(draw(st.integers(0, i - 1)), i) for i in range(length, n)]
+    labels = draw(st.permutations(range(n)))
+    return Graph.from_edges([(labels[u], labels[v]) for u, v in edges])
+
+
+def block_set(blocks) -> set:
+    """Biconnected blocks as a set of (node tuple, canonical edge tuple)."""
+    return {
+        (tuple(sorted(nodes)), tuple(sorted((min(e), max(e)) for e in edges)))
+        for nodes, edges in blocks
+    }

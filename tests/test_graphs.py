@@ -22,6 +22,7 @@ from dcqaoa import (
     random_graph,
 )
 from dcqaoa.graphs import (
+    _biconnected_blocks,
     complement,
     components_excluding,
     cut_values,
@@ -35,9 +36,14 @@ from dcqaoa.graphs import (
 from dcqaoa.qaoa import cut_value_table
 from dcqaoa.reports import approximation_ratio, reference_optimum
 from conftest import (
+    block_set,
     brute_force_form,
+    chains,
     complete_graph,
     cycle_graph,
+    cycles_with_pendants,
+    disjoint_unions,
+    forests,
     graphs,
     isomorphic,
     k2,
@@ -45,6 +51,7 @@ from conftest import (
     path_graph,
     relabel,
     relabelings,
+    tarjan_biconnected_blocks,
     toy_graph,
     triangle,
 )
@@ -449,6 +456,28 @@ class TestChainGraphs:
 
     def test_deterministic(self):
         assert random_chain_graph(30, 4) == random_chain_graph(30, 4)
+
+
+class TestBiconnectedBlocks:
+    """Blocks read off the lowpoint forest equal the edge-stack oracle's."""
+
+    @given(
+        st.one_of(
+            graphs(max_nodes=10), forests(), chains(), cycles_with_pendants(), disjoint_unions()
+        )
+    )
+    @example(Graph.from_edges(nodes=[3, 7]))
+    @example(complete_graph(5))
+    def test_match_edge_stack_oracle(self, g):
+        assert block_set(_biconnected_blocks(g)) == block_set(tarjan_biconnected_blocks(g))
+
+    def test_forest_fields(self):
+        # the path 0-1-2 plus the isolated node 3, searched from 0 then 3
+        forest = Graph.from_edges([(0, 1), (1, 2)], nodes=[3]).lowpoints
+        assert [a.tolist() for a in forest] == [[0, 1, 2, 3], [0, 1, 2, 3], [3, 2, 1, 1], [-1, 0, 1, -1]]
+        # a triangle: every node reaches the root through the back edge
+        forest = triangle().lowpoints
+        assert forest.low.tolist() == [0, 0, 0]
 
 
 @st.composite

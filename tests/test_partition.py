@@ -1,24 +1,34 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dcqaoa.graphs as graphs_module
+import dcqaoa.partition as partition_module
 from dcqaoa import (
     ConnectivityExceededError,
     Graph,
     nlgp,
     nrl,
+    random_chain_graph,
     random_graph,
 )
-from dcqaoa.graphs import components_excluding
+from dcqaoa.graphs import _biconnected_blocks, components_excluding
 from conftest import (
+    block_set,
+    chains,
     check_separation_invariants,
     complete_graph,
     cycle_graph,
+    cycles_with_pendants,
+    disjoint_unions,
+    enumerated_nlgp,
     forests,
     graphs,
     path_graph,
+    tarjan_biconnected_blocks,
     toy_graph,
     triangle,
 )
@@ -151,6 +161,87 @@ class TestNlgp:
     def test_deterministic(self):
         g = random_graph(20, 0.15, seed=8)
         assert nlgp(g, 6).separator == nlgp(g, 6).separator
+
+
+def fresh(g):
+    """The same graph with nothing cached."""
+    return Graph(nodes=g.nodes, edges=g.edges)
+
+
+def split_like_oracle(g, k):
+    """Split g and every piece above k nodes again, checking each split
+    against the enumeration oracle on a fresh copy, each piece's cached
+    edge positions and (through its blocks) its inherited forest.
+    Returns the number of splits."""
+    splits, todo = 0, [g]
+    while todo:
+        piece = todo.pop()
+        try:
+            want = enumerated_nlgp(fresh(piece), k)
+        except ConnectivityExceededError:
+            with pytest.raises(ConnectivityExceededError):
+                nlgp(piece, k)
+            continue
+        got = nlgp(piece, k)
+        assert got.separator == want.separator
+        assert got.subgraphs == want.subgraphs
+        for sub in got.subgraphs:
+            assert np.array_equal(sub.edge_positions, fresh(sub).edge_positions)
+            assert block_set(_biconnected_blocks(sub)) == block_set(tarjan_biconnected_blocks(sub))
+            if sub.n > k:
+                todo.append(sub)
+        splits += 1
+    return splits
+
+
+class TestForestSplits:
+    """Sizes 0 and 1 read off the lowpoint forest equal the enumeration."""
+
+    @given(graphs(max_nodes=9), st.integers(1, 8))
+    def test_graphs(self, g, k):
+        assume(g.n > k)
+        split_like_oracle(g, k)
+
+    @given(forests(), st.integers(1, 8))
+    def test_forests(self, g, k):
+        assume(g.n > k)
+        split_like_oracle(g, k)
+
+    @settings(deadline=None)
+    @given(chains(), st.integers(1, 8))
+    def test_chains(self, g, k):
+        assume(g.n > k)
+        split_like_oracle(g, k)
+
+    @given(disjoint_unions(), st.integers(1, 8))
+    def test_four_or_more_components(self, g, k):
+        assume(g.n > k)
+        assert len(components_excluding(g, frozenset())) >= 4
+        assert nlgp(g, k).separator == ()
+        split_like_oracle(g, k)
+
+    @given(cycles_with_pendants(), st.integers(3, 5))
+    def test_pieces_below_a_two_node_separator(self, g, k):
+        assume(g.n > k)
+        split_like_oracle(g, k)
+
+    def test_two_node_separator_then_cut_vertices(self):
+        # C6 splits at (0, 2) into the paths 0-1-2 and 2-3-4-5-0; the long
+        # one builds a fresh forest and splits at 3, and its piece 3-4-5-0
+        # inherits that forest and splits at 4
+        g = cycle_graph(6)
+        assert nlgp(g, 3).separator == (0, 2)
+        assert split_like_oracle(g, 3) == 3
+
+    def test_one_dfs_serves_a_whole_chain(self, monkeypatch):
+        # every split below the root reads an inherited forest
+        g = fresh(random_chain_graph(120, 3))
+        builds = []
+        real = graphs_module._lowpoint_forest
+        monkeypatch.setattr(graphs_module, "_lowpoint_forest", lambda *a: builds.append(a) or real(*a))
+        monkeypatch.setattr(partition_module, "components_excluding", None)
+        assert split_like_oracle(g, 8) > 40
+        assert len(builds) == 1
 
 
 class TestSeparationInvariants:

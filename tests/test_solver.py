@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcqaoa import qaoa
+from dcqaoa import qaoa, solver
 from dcqaoa import (
     ConnectivityExceededError,
     DcConfig,
@@ -31,6 +31,7 @@ from conftest import (
     complete_graph,
     count_maps,
     cycle_graph,
+    enumerated_nlgp,
     floor_rescale,
     forests,
     graphs,
@@ -383,6 +384,17 @@ class TestPartitionTree:
         except ReconstructionError:
             return
         assert [(node.nodes, node.separator) for node in tree.preorder()] == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_solve_equals_enumerated_separators(self, seed, monkeypatch):
+        # the forest-read separators change no map and no tree
+        g = random_chain_graph(300, seed)
+        cfg = DcConfig(k=8, seed=seed, budget=10, restarts=1)
+        solution, tree = dc_qaoa_traced(g, cfg)
+        monkeypatch.setattr(solver, "nlgp", enumerated_nlgp)
+        want_solution, want_tree = dc_qaoa_traced(Graph(nodes=g.nodes, edges=g.edges), cfg)
+        assert solution.to_dict() == want_solution.to_dict()
+        assert tree.to_dict() == want_tree.to_dict()
 
     def test_single_leaf_when_graph_fits(self):
         cfg = DcConfig(k=8, seed=2, budget=40, restarts=1)
