@@ -119,6 +119,25 @@ class Graph:
         """
         return _lowpoint_forest(self.n, self.edge_positions)
 
+    @cached_property
+    def cut_table(self) -> np.ndarray:
+        """Read-only ``int16`` cuts of basis indices b < 2^(n-1) (MSB first, bit 0
+        is 0); flipping every bit keeps a cut, so they hold every cut. Built
+        ``_CUT_BLOCK_ELEMENTS // n`` rows at a time up to BRUTE_FORCE_LIMIT nodes."""
+        n = self.n
+        if n == 0:
+            raise ValueError("empty graph has no cut assignments")
+        if n > BRUTE_FORCE_LIMIT:
+            raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {BRUTE_FORCE_LIMIT}")
+        half = 1 << (n - 1)
+        step = max(1, _CUT_BLOCK_ELEMENTS // n)
+        table = np.empty(half, dtype=np.int16)
+        for lo in range(0, half, step):
+            rows = index_rows(np.arange(lo, min(lo + step, half)), n)
+            table[lo : lo + step] = cut_values(self, rows)
+        table.flags.writeable = False
+        return table
+
     def digest(self) -> str:
         """Stable content hash of the canonical serialization."""
         return hashlib.sha256(serialize_edge_list(self).encode("utf-8")).hexdigest()
@@ -486,22 +505,11 @@ def index_rows(indices: np.ndarray, n: int) -> np.ndarray:
 def brute_force_maxcut(g: Graph) -> tuple[int, set[str]]:
     """Exhaustive MaxCut: (max cut, all optimal assignments incl. complements).
 
-    Enumerates half the space by fixing the smallest node's bit to '0' and
-    mirrors the winners, so both orientations are reported. The half space
-    is converted to rows one block at a time.
+    Reads the half space ``g.cut_table`` and mirrors the winners, so both
+    orientations are reported.
     """
-    n = g.n
-    if n == 0:
-        raise ValueError("empty graph has no cut assignments")
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(f"{n} nodes exceeds exhaustive limit {BRUTE_FORCE_LIMIT}")
-    half = 1 << (n - 1)
-    step = max(1, _CUT_BLOCK_ELEMENTS // n)
-    cuts = np.empty(half, dtype=np.int64)
-    for lo in range(0, half, step):
-        cuts[lo : lo + step] = cut_values(g, index_rows(np.arange(lo, min(lo + step, half)), n))
-    best = int(cuts.max())
-    winners = {format(int(b), f"0{n}b") for b in np.flatnonzero(cuts == best)}
+    best = int(g.cut_table.max())
+    winners = {format(int(b), f"0{g.n}b") for b in np.flatnonzero(g.cut_table == best)}
     winners |= {complement(w) for w in winners}
     return best, winners
 

@@ -2,12 +2,11 @@
 
 Basis convention: index b of the amplitude array corresponds to the
 assignment bitstring ``format(b, f"0{n}b")``, i.e. bit position 0 (the
-smallest node) is the most significant bit. The cost layer is applied as a
-single diagonal phase multiply using the precomputed per-basis cut value,
-which equals the per-edge two-qubit phase circuit up to global phase. A cut
-value is an integer in 0..|E|, so the layer evaluates one phase per distinct
-cut value and gathers it by the table. The mixer is one whole-array step
-per qubit.
+smallest node) is the most significant bit. The cost layer is one diagonal
+phase multiply by ``Graph.cut_table``, which equals the per-edge two-qubit
+phase circuit up to global phase. A cut value is an integer in 0..|E|, so
+the layer evaluates one phase per distinct cut value and gathers it by the
+table. The mixer is one whole-array step per qubit.
 
 Half layout: a cut is unchanged when every bit flips, and both |+>^n and
 the mixer commute with X^n, so every state of the circuit is spin-flip
@@ -15,8 +14,8 @@ symmetric, psi(b) = psi(2^n - 1 - b). The simulator therefore carries only
 the bit-0 = 0 half, the first 2^(n-1) amplitudes; the full state is
 ``concat(half, half[::-1])``. Each amplitude of the half is computed by
 the same floating-point operations as in a full-state run, so the rebuilt
-state is bit for bit the full one. The readout squares magnitudes on the
-half and mirrors them before the full-length dot product and draw.
+state is bit for bit the full one. The readout mirrors the squared
+magnitudes, and the cut table of the same half, to full length.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import SizeLimitError
-from .graphs import Graph, SolutionMap, cut_values, index_rows
+from .graphs import Graph, SolutionMap, index_rows
 from .seeds import derive_seed
 
 QUBIT_CAP = 20
@@ -66,12 +65,6 @@ class AnsatzParams:
         return cls(tuple((x[i], x[i + 1]) for i in range(0, len(x), 2)))
 
 
-def cut_value_table(g: Graph) -> np.ndarray:
-    """Integer cut size of every basis state, indexed per the MSB-first convention."""
-    n = _check_qubits(g.n)
-    return cut_values(g, index_rows(np.arange(1 << n), n)).astype(np.intp)
-
-
 def _initial_half(n: int) -> np.ndarray:
     """The bit-0 = 0 half of the uniform superposition over n qubits."""
     n = _check_qubits(n)
@@ -83,8 +76,8 @@ def apply_cost_phases(
 ) -> np.ndarray:
     """Phase e^(-i*gamma*table[b]) on each amplitude of a half state.
 
-    ``table`` is the half's slice of ``cut_value_table(g)`` and ``cut_range``
-    is 0.0, 1.0, ..., max cut: the phase is evaluated once per cut value and
+    ``table`` is the half's ``Graph.cut_table`` and ``cut_range`` is 0.0,
+    1.0, ..., max cut: the phase is evaluated once per cut value and
     gathered by the table. ``_evolve`` checks the table once per circuit.
     """
     gathered = np.exp(-1j * gamma * cut_range)[table]
@@ -114,17 +107,17 @@ def apply_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
 def _evolve(half: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
     """The depth-p circuit on the half of a spin-flip-symmetric state.
 
-    ``table`` is the full ``cut_value_table``; it is checked here, once per
-    circuit, and the kernels see its first half.
+    ``table`` is ``Graph.cut_table``, the cut of each amplitude of the half;
+    it is checked here, once per circuit.
     """
-    if table.shape != (2 * len(half),):
+    if table.shape != half.shape:
         raise ValueError("state and cut table dimensions differ")
     if not np.issubdtype(table.dtype, np.integer):
         raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
     if table.min() < 0:
         raise ValueError("cut table holds a negative entry")
     cut_range = np.arange(table.max() + 1, dtype=np.float64)
-    table = table[: len(half)]
+    table = table.astype(np.intp)  # numpy gathers by intp indices fastest
     for gamma, beta in layers:
         half = apply_cost_phases(half, table, cut_range, gamma)
         half = apply_mixer_layer(half, beta)
@@ -139,7 +132,7 @@ def _probabilities(half: np.ndarray) -> np.ndarray:
 
 def _expectation_of(half: np.ndarray, table: np.ndarray) -> float:
     probs = _probabilities(half)
-    return float(probs @ table / probs.sum())
+    return float(probs @ np.concatenate((table, table[::-1])) / probs.sum())
 
 
 def optimize_params(
@@ -161,8 +154,8 @@ def optimize_params(
         raise ValueError("budget must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    table = cut_value_table(g)
-    half0 = _initial_half(g.n)
+    half0 = _initial_half(g.n)  # checks the qubit cap before the table is built
+    table = g.cut_table
 
     def neg_expectation(x: np.ndarray) -> float:
         layers = [(x[2 * i], x[2 * i + 1]) for i in range(p)]
@@ -193,9 +186,8 @@ def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -
     """Seeded measurement of the final state; entry order is unspecified."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
-    n = g.n
-    table = cut_value_table(g)
-    probs = _probabilities(_evolve(_initial_half(n), table, params.layers))
+    n = _check_qubits(g.n)
+    probs = _probabilities(_evolve(_initial_half(n), g.cut_table, params.layers))
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)

@@ -8,10 +8,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
-from dcqaoa.graphs import components_excluding, cut_values
+from dcqaoa.graphs import components_excluding, cut_values, index_rows
 from dcqaoa.partition import SeparationResult
 import dcqaoa.qaoa as qaoa
-from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half, cut_value_table
+import dcqaoa.solver as solver
+from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half
 from dcqaoa.reconstruction import scheme_function
 
 
@@ -196,15 +197,20 @@ def random_half(n: int, seed: int) -> np.ndarray:
     return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
+def cut_value_table(g: Graph) -> np.ndarray:
+    """Cut of each of the 2^n basis states, MSB first, over the whole space:
+    the oracle for Graph.cut_table, which holds its bit-0 = 0 half."""
+    return cut_values(g, index_rows(np.arange(1 << g.n), g.n)).astype(np.intp)
+
+
 def final_state(g: Graph, params) -> np.ndarray:
     """Full statevector after the whole depth-p circuit on g."""
-    return mirrored(_evolve(_initial_half(g.n), cut_value_table(g), params.layers))
+    return mirrored(_evolve(_initial_half(g.n), g.cut_table, params.layers))
 
 
 def qaoa_expectation(g: Graph, params) -> float:
     """Exact expected cut size of the circuit's output distribution."""
-    table = cut_value_table(g)
-    return _expectation_of(_evolve(_initial_half(g.n), table, params.layers), table)
+    return _expectation_of(_evolve(_initial_half(g.n), g.cut_table, params.layers), g.cut_table)
 
 
 def build_initial_state(n: int) -> np.ndarray:
@@ -250,10 +256,11 @@ def full_expectation(state: np.ndarray, table: np.ndarray) -> float:
 @contextmanager
 def full_state_qaoa():
     """Within the block, qaoa's optimizer and sampler run on full states
-    through the oracles, as the simulator did before the half-state kernels."""
+    through the oracles, as the simulator did before the half-state kernels;
+    the evolution mirrors the half cut table it is given."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qaoa, "_initial_half", build_initial_state)
-        mp.setattr(qaoa, "_evolve", full_evolve)
+        mp.setattr(qaoa, "_evolve", lambda state, t, layers: full_evolve(state, mirrored(t), layers))
         mp.setattr(qaoa, "_probabilities", lambda state: np.abs(state) ** 2)
         yield
 
@@ -308,6 +315,21 @@ def cycle_graph(n: int) -> Graph:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def exact_leaves(monkeypatch):
+    """solver._solve_leaf returns every optimum of its leaf, read off
+    Graph.cut_table in both orientations, each at count 1: solves then run
+    no QAOA, and every leaf map holds exactly the leaf's optima."""
+
+    def solve_leaf(g, seed, cfg, angles):
+        table = g.cut_table
+        half = index_rows(np.flatnonzero(table == table.max()), g.n)
+        rows = np.concatenate((half, half ^ 1))
+        return SolutionMap.from_rows(g.nodes, rows, [1] * len(rows))
+
+    monkeypatch.setattr(solver, "_solve_leaf", solve_leaf)
 
 
 def relabel(g: Graph, mapping: dict) -> Graph:

