@@ -1,15 +1,11 @@
 """Classical comparison solvers for approximation-ratio benchmarking.
 
-random_search scores its rows 64 per machine word, from the same coins as
-``rng.integers(0, 2, dtype=np.uint8)``. That bounded draw spends one byte of
-the generator's raw 64-bit stream per coin, least significant byte first, and
-returns the byte's top bit (Lemire's method with range 2), so a block takes
-its coins straight from ``bit_generator.random_raw``. It packs 8 rows per byte
-and each node's column into ``uint64`` words, XORs the two endpoint words of
-every edge and sums the m one-bit planes with a carry-save adder tree. The
-packed scorer is private to this module: ``graphs.cut_values`` stays the one
-cut evaluator elsewhere, and its gather is faster at ``rerank_by_cut``'s few
-rows.
+random_search draws the same coins as ``rng.integers(0, 2, dtype=np.uint8)``.
+That bounded draw spends one byte of the generator's raw 64-bit stream per
+coin, least significant byte first, and returns the byte's top bit (Lemire's
+method with range 2), so a block takes its coins straight from
+``bit_generator.random_raw``, packs them 8 rows per byte into node columns and
+scores them with ``graphs.column_cuts``, the scorer behind ``cut_values``.
 """
 
 from __future__ import annotations
@@ -19,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, cut_values
+from .graphs import Graph, column_cuts, cut_values
 from .seeds import derive_seed
 
-# random_search rows per block; a multiple of 64, so every block but the last
-# spends whole 64-bit words of the stream and packs into whole words per node
+# random_search rows per block; a multiple of 8, so every block but the last
+# spends whole 64-bit words of the stream and packs into whole bytes per node
 _SEARCH_BLOCK_ROWS = 4096
 
 
@@ -43,8 +39,8 @@ def _coin_bytes(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
 
 
 def _pack_rows(coins: np.ndarray) -> np.ndarray:
-    """(n, r/64) uint64 words of an (r, n - 1) block of coin bytes, r a multiple
-    of 64: bit b of node i's word w is row 64w + b's side of node i, and node 0
+    """(n, r/8) uint8 columns of an (r, n - 1) block of coin bytes, r a multiple
+    of 8: bit b of node i's byte j is row 8j + b's side of node i, and node 0
     is all zeros."""
     r, width = coins.shape
     groups = coins.reshape(r // 8, 8, width)
@@ -54,49 +50,17 @@ def _pack_rows(coins: np.ndarray) -> np.ndarray:
         np.right_shift(groups[:, k], 7 - k, out=shifted)
         shifted &= 1 << k
         packed |= shifted
-    words = np.zeros((width + 1, r // 64), dtype=np.uint64)
-    words[1:].view(np.uint8)[:] = packed.T
-    return words
-
-
-def _count_planes(planes: np.ndarray) -> list[np.ndarray]:
-    """Bit planes of the per-bit count over an (m, w) stack of one-bit planes,
-    least significant first: full adders turn three planes of one weight into
-    a sum plane and a carry plane of the next, a whole level at a time."""
-    counts = []
-    level = planes
-    while len(level):
-        carries = []
-        while len(level) > 1:
-            t = max(1, len(level) // 3)
-            a, b, c = level[:t], level[t : 2 * t], level[2 * t : 3 * t]
-            ab = a ^ b
-            if len(c):
-                carries.append((a & b) | (ab & c))
-                level = np.concatenate((ab ^ c, level[3 * t :]))
-            else:
-                carries.append(a & b)
-                level = ab
-        counts.append(level[0])
-        level = np.concatenate(carries) if carries else level[:0]
-    return counts
-
-
-def _packed_cuts(g: Graph, words: np.ndarray) -> np.ndarray:
-    """Cut size of each of the 64w rows packed in g.n x w words."""
-    pu, pv = g.edge_positions.T
-    cuts = np.zeros(64 * words.shape[1], dtype=np.int64)
-    for j, plane in enumerate(_count_planes(words[pu] ^ words[pv])):
-        cuts += np.unpackbits(plane.view(np.uint8), bitorder="little").astype(np.int64) << j
-    return cuts
+    columns = np.zeros((width + 1, r // 8), dtype=np.uint8)
+    columns[1:] = packed.T
+    return columns
 
 
 def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
     """Best cut among `budget` uniform random assignments (first bit fixed to 0).
 
     Rows are drawn and scored _SEARCH_BLOCK_ROWS at a time, so memory stays
-    bounded; the first best row over all blocks wins. The last block is
-    padded to a multiple of 64 rows with all-zero rows, which the argmax skips.
+    bounded; the first best row over all blocks wins. The last block draws
+    coins for a multiple of 8 rows and scores only the rows the budget asks for.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -106,10 +70,9 @@ def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
     best_cut, best_row = -1, None
     for lo in range(0, budget, _SEARCH_BLOCK_ROWS):
         rows = min(_SEARCH_BLOCK_ROWS, budget - lo)
-        padded = -(-rows // 64) * 64
+        padded = -(-rows // 8) * 8
         coins = _coin_bytes(bitgen, padded * width).reshape(padded, width)
-        coins[rows:] = 0
-        cuts = _packed_cuts(g, _pack_rows(coins))[:rows]
+        cuts = column_cuts(g, _pack_rows(coins), rows)
         best = int(np.argmax(cuts))
         if cuts[best] > best_cut:
             best_cut, best_row = int(cuts[best]), coins[best] >> 7

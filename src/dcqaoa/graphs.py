@@ -31,8 +31,10 @@ from .errors import (
 
 BRUTE_FORCE_LIMIT = 24
 _GENERATION_RETRIES = 200
-# row x edge entries gathered at once by cut_values
+# row x edge bytes unpacked at once by column_cuts
 _CUT_BLOCK_ELEMENTS = 1 << 20
+# edges column_cuts sums per row in one uint16 lane; one more could wrap it
+_CUT_LANE_EDGES = (1 << 16) - 1
 
 
 class Lowpoints(NamedTuple):
@@ -456,19 +458,30 @@ def _lowpoint_forest(n: int, edge_positions: np.ndarray) -> Lowpoints:
 
 
 def cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """Cut size of each row of an (r, n) array; equal entries mean the same side.
-
-    Gathers rows over ``edge_positions`` in blocks of at most
-    _CUT_BLOCK_ELEMENTS row x edge entries, so memory stays bounded.
-    """
+    """Cut size of each 0/1 row of an (r, n) array, packed 8 rows per byte."""
     if rows.ndim != 2 or rows.shape[1] != g.n:
         raise ValueError(f"rows of shape {rows.shape} do not match {g.n} nodes")
+    # packing the contiguous transpose is 3-5x faster than packbits on axis 0
+    columns = np.packbits(np.ascontiguousarray(rows.T), axis=1, bitorder="little")
+    return column_cuts(g, columns, rows.shape[0])
+
+
+def column_cuts(g: Graph, columns: np.ndarray, r: int) -> np.ndarray:
+    """Cut size of each of r rows packed in (n, ceil(r/8)) uint8 columns, row
+    8j + b in bit b of byte j.
+
+    Each edge XORs its endpoint columns into a plane of cut bits; the planes
+    are unpacked and summed per row as uint16, at most _CUT_LANE_EDGES and
+    _CUT_BLOCK_ELEMENTS // r edges at a time, so no sum wraps and memory
+    stays bounded.
+    """
     pu, pv = g.edge_positions.T
-    step = max(1, _CUT_BLOCK_ELEMENTS // max(1, g.m))
-    cuts = np.empty(rows.shape[0], dtype=np.int64)
-    for lo in range(0, rows.shape[0], step):
-        block = rows[lo : lo + step]
-        cuts[lo : lo + step] = np.count_nonzero(block[:, pu] != block[:, pv], axis=1)
+    step = min(_CUT_LANE_EDGES, max(1, _CUT_BLOCK_ELEMENTS // max(1, r)))
+    cuts = np.zeros(r, dtype=np.int64)
+    for lo in range(0, g.m, step):
+        planes = columns[pu[lo : lo + step]] ^ columns[pv[lo : lo + step]]
+        bits = np.unpackbits(planes, axis=1, count=r, bitorder="little")
+        cuts += bits.sum(axis=0, dtype=np.uint16)
     return cuts
 
 

@@ -54,22 +54,23 @@ def combine(
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
         raise ValueError("solution maps must be keyed on their subgraph node sets")
-    in_g1 = set(g1.nodes)
-    common = [v for v in g2.nodes if v in in_g1]
-    union_nodes = tuple(sorted(in_g1.union(g2.nodes)))
+    nodes1 = np.array(g1.nodes, dtype=np.int64)
+    nodes2 = np.array(g2.nodes, dtype=np.int64)
+    _, at1, at2 = np.intersect1d(nodes1, nodes2, assume_unique=True, return_indices=True)
+    union_nodes = np.union1d(nodes1, nodes2)
 
     # pairs (i1, i2) in m1 entry order, then m2 entry order
-    sig1 = m1.rows[:, np.searchsorted(g1.nodes, common)]
-    sig2 = m2.rows[:, np.searchsorted(g2.nodes, common)]
+    sig1 = m1.rows[:, at1]
+    sig2 = m2.rows[:, at2]
     i1, i2 = np.nonzero((sig1[:, None, :] == sig2[None, :, :]).all(axis=2))
 
     # matched pairs agree on the common columns, so either side may write them
     merged = np.empty((len(i1), len(union_nodes)), dtype=np.uint8)
-    merged[:, np.searchsorted(union_nodes, g2.nodes)] = m2.rows[i2]
-    merged[:, np.searchsorted(union_nodes, g1.nodes)] = m1.rows[i1]
+    merged[:, np.searchsorted(union_nodes, nodes2)] = m2.rows[i2]
+    merged[:, np.searchsorted(union_nodes, nodes1)] = m1.rows[i1]
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
-    return SolutionMap.from_rows(union_nodes, merged, counts)
+    return SolutionMap.from_rows(tuple(union_nodes.tolist()), merged, counts)
 
 
 def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
-from dcqaoa.graphs import components_excluding, cut_values, index_rows
+from dcqaoa.graphs import components_excluding, index_rows
 from dcqaoa.partition import SeparationResult
 import dcqaoa.qaoa as qaoa
 import dcqaoa.solver as solver
@@ -137,9 +137,16 @@ def floor_rescale(m: SolutionMap, s: int) -> SolutionMap:
     return m.take(kept, [scaled[i] for i in kept])
 
 
+def gathered_cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Row x edge gather of the endpoint bits: the oracle for graphs.cut_values
+    and graphs.column_cuts."""
+    pu, pv = g.edge_positions.T
+    return np.count_nonzero(rows[:, pu] != rows[:, pv], axis=1)
+
+
 def blocked_random_search(g: Graph, budget: int, seed: int, block: int = 4096) -> tuple[str, int]:
     """(assignment, cut) of the first best of `budget` rows drawn by
-    rng.integers and scored by graphs.cut_values `block` rows at a time: the
+    rng.integers and scored by gathered_cut_values `block` rows at a time: the
     oracle for baselines.random_search. A block of a multiple of 4 rows spends
     whole 32-bit words, so the blocks continue one draw of every row."""
     rng = np.random.default_rng(seed)
@@ -148,7 +155,7 @@ def blocked_random_search(g: Graph, budget: int, seed: int, block: int = 4096) -
         rows = np.zeros((min(block, budget - lo), g.n), dtype=np.uint8)
         if g.n > 1:
             rows[:, 1:] = rng.integers(0, 2, size=(len(rows), g.n - 1), dtype=np.uint8)
-        cuts = cut_values(g, rows)
+        cuts = gathered_cut_values(g, rows)
         best = int(np.argmax(cuts))
         if cuts[best] > best_cut:
             best_cut, best_row = int(cuts[best]), rows[best]
@@ -200,7 +207,7 @@ def random_half(n: int, seed: int) -> np.ndarray:
 def cut_value_table(g: Graph) -> np.ndarray:
     """Cut of each of the 2^n basis states, MSB first, over the whole space:
     the oracle for Graph.cut_table, which holds its bit-0 = 0 half."""
-    return cut_values(g, index_rows(np.arange(1 << g.n), g.n)).astype(np.intp)
+    return gathered_cut_values(g, index_rows(np.arange(1 << g.n), g.n)).astype(np.intp)
 
 
 def final_state(g: Graph, params) -> np.ndarray:

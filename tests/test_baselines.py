@@ -13,11 +13,12 @@ from dcqaoa import (
     random_search,
 )
 from dcqaoa import baselines
-from dcqaoa.graphs import cut_values
+from dcqaoa.graphs import column_cuts
 from dcqaoa.seeds import derive_seed
 from conftest import (
     blocked_random_search,
     cycle_graph,
+    gathered_cut_values,
     graphs,
     k2,
     naive_cut_size,
@@ -67,7 +68,7 @@ def one_shot_random_search(g, budget, seed):
         rows[:, 1:] = np.random.default_rng(seed).integers(
             0, 2, size=(budget, g.n - 1), dtype=np.uint8
         )
-    cuts = cut_values(g, rows)
+    cuts = gathered_cut_values(g, rows)
     best = int(np.argmax(cuts))
     return "".join(str(b) for b in rows[best]), int(cuts[best])
 
@@ -140,14 +141,8 @@ class TestRandomSearch:
         coins = np.random.default_rng(m).integers(0, 256, size=(256, n - 1), dtype=np.uint8)
         rows = np.zeros((256, n), dtype=np.uint8)
         rows[:, 1:] = coins >> 7
-        cuts = baselines._packed_cuts(g, baselines._pack_rows(coins))
-        assert np.array_equal(cuts, cut_values(g, rows))
-        # every bit of every plane set: the count m carries through every weight
-        planes = np.full((m, 2), np.iinfo(np.uint64).max, dtype=np.uint64)
-        total = np.zeros(128, dtype=np.int64)
-        for j, plane in enumerate(baselines._count_planes(planes)):
-            total += np.unpackbits(plane.view(np.uint8)).astype(np.int64) << j
-        assert (total == m).all()
+        cuts = column_cuts(g, baselines._pack_rows(coins), 256)
+        assert np.array_equal(cuts, gathered_cut_values(g, rows))
 
     def test_pool_threads_match_serial_runs(self):
         jobs = [

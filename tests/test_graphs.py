@@ -25,15 +25,16 @@ from dcqaoa.graphs import (
     _biconnected_blocks,
     complement,
     components_excluding,
+    column_cuts,
     cut_values,
     index_rows,
-    key_rows,
     parse_edge_list,
     refined_form,
     row_strings,
     serialize_edge_list,
 )
 from dcqaoa.reports import approximation_ratio, reference_optimum
+import dcqaoa.graphs as graphs_module
 from conftest import (
     block_set,
     brute_force_form,
@@ -44,6 +45,7 @@ from conftest import (
     cycles_with_pendants,
     disjoint_unions,
     forests,
+    gathered_cut_values,
     graphs,
     isomorphic,
     k2,
@@ -187,7 +189,6 @@ class TestCutValues:
         keys = [format(b, f"0{g.n}b") for b in indices]
         expected = [naive_cut_size(g, a) for a in keys]
         bits = np.array([[int(c) for c in a] for a in keys], dtype=np.uint8).reshape(-1, g.n)
-        assert cut_values(g, key_rows(keys)).tolist() == expected
         assert cut_values(g, bits).tolist() == expected
         assert cut_values(g, index_rows(np.array(indices), g.n)).tolist() == expected
 
@@ -197,13 +198,38 @@ class TestCutValues:
         assert mirrored(g.cut_table).tolist() == table
         assert brute_force_maxcut(g) == optimum
 
-        # a block of `block` row x edge entries splits these rows across many
-        # blocks; a fresh graph builds its cached table again under that block
+        # a block of `block` row x edge entries splits these edges across many
+        # chunks; a fresh graph builds its cached table again under that block
         with mock.patch("dcqaoa.graphs._CUT_BLOCK_ELEMENTS", block):
             fresh = Graph(nodes=g.nodes, edges=g.edges)
-            assert cut_values(g, key_rows(keys)).tolist() == expected
+            assert cut_values(g, bits).tolist() == expected
             assert mirrored(fresh.cut_table).tolist() == table
             assert brute_force_maxcut(fresh) == optimum
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs(max_nodes=12), st.integers(0, 300), st.integers(0, 2**32))
+    @example(Graph.from_edges(nodes=[]), 9, 0)
+    @example(complete_graph(12), 300, 1)
+    def test_column_cuts_match_gather(self, g, r, seed):
+        rows = np.random.default_rng(seed).integers(0, 2, size=(r, g.n), dtype=np.uint8)
+        columns = np.packbits(rows, axis=0, bitorder="little").T
+        expected = gathered_cut_values(g, rows).tolist()
+        assert cut_values(g, rows).tolist() == expected
+        assert column_cuts(g, columns, r).tolist() == expected
+        # small constants split the edges into many chunks of at most 3 edges
+        with mock.patch.multiple(graphs_module, _CUT_BLOCK_ELEMENTS=7, _CUT_LANE_EDGES=3):
+            assert cut_values(g, rows).tolist() == expected
+            assert column_cuts(g, columns, r).tolist() == expected
+
+    @pytest.mark.parametrize("r", [1, 9, 16])
+    def test_more_edges_than_one_lane(self, r):
+        # K363 has 65,703 edges, so its edges fill one uint16 lane and spill
+        g = complete_graph(363)
+        rows = np.random.default_rng(r).integers(0, 2, size=(r, g.n), dtype=np.uint8)
+        expected = gathered_cut_values(g, rows)
+        columns = np.packbits(rows, axis=0, bitorder="little").T
+        assert np.array_equal(cut_values(g, rows), expected)
+        assert np.array_equal(column_cuts(g, columns, r), expected)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
