@@ -46,9 +46,12 @@ class Lowpoints(NamedTuple):
     position (-1 at a root). The nodes with ``disc`` in
     ``[disc[c], disc[c] + size[c])`` are exactly c's subtree. Forests that
     ``partition.nlgp`` hands to its pieces keep the parent's ``disc``,
-    ``low`` and ``size``, so their ``disc`` values need not be contiguous
-    and a root's ``low`` and ``size`` may count nodes the piece lacks; no
-    rule here reads either of a root.
+    ``low`` and ``size``, so their ``disc`` values need not be contiguous.
+    There ``size`` is only the width of the ``disc`` interval: the kept
+    positions inside it are still exactly the subtree, but the ancestors of
+    a dropped subtree keep counting its nodes, so ``size`` may exceed the
+    subtree's node count at any position. A root's ``low`` may also count
+    nodes the piece lacks; no rule here reads a root's ``low`` or ``size``.
     """
 
     disc: np.ndarray
@@ -172,7 +175,11 @@ class SolutionMap:
     ``rows`` is a read-only C-contiguous ``uint8`` array of shape
     ``(r, len(nodes))`` whose row i holds the 0/1 bits of entry i;
     ``row_counts`` holds the r counts beside it as exact Python ints (products
-    of weighted counts outgrow 64 bits on large graphs). Only
+    of weighted counts outgrow 64 bits on large graphs). ``cuts`` is an
+    ``int64`` array of the r rows' cut sizes on the graph that made the map,
+    or None when no cut is known: sampling reads them off the leaf's cut
+    table, ``combine`` adds its two sides' cuts, and ``take`` carries them,
+    so ``rerank_by_cut`` scores edges only for maps built without cuts. Only
     ``rerank_by_cut`` sets entry order (larger cut first); sampling and
     ``combine`` return entries in unspecified order.
 
@@ -182,7 +189,7 @@ class SolutionMap:
     on first access; treat it as read-only.
     """
 
-    __slots__ = ("nodes", "rows", "row_counts", "_counts")
+    __slots__ = ("nodes", "rows", "row_counts", "cuts", "_counts")
 
     def __init__(self, nodes: Iterable[int], counts: dict[str, int] | None = None):
         nodes = tuple(nodes)
@@ -203,17 +210,20 @@ class SolutionMap:
         for key, cnt in counts.items():
             if not isinstance(cnt, int) or cnt < 0:
                 raise ValueError(f"count for {key!r} must be a non-negative integer")
-        self._init(nodes, rows, values)
+        self._init(nodes, rows, values, None)
         self._counts = counts
 
     @classmethod
-    def from_rows(cls, nodes: tuple[int, ...], rows: np.ndarray, counts) -> "SolutionMap":
-        """Map whose entry i is (rows[i], counts[i]).
+    def from_rows(
+        cls, nodes: tuple[int, ...], rows: np.ndarray, counts, cuts=None
+    ) -> "SolutionMap":
+        """Map whose entry i is (rows[i], counts[i]), with cut cuts[i] when given.
 
-        `nodes` must be strictly increasing, the rows distinct, and the
-        counts non-negative ints; only the array's shape, dtype and values
-        are checked. The map keeps `rows` (made read-only) without copying
-        when it is already C-contiguous.
+        `nodes` must be strictly increasing, the rows distinct, the counts
+        non-negative ints and the cuts those of the rows; only the arrays'
+        shapes, dtype and values are checked. The map keeps `rows` and an
+        ``int64`` `cuts` (made read-only) without copying when they are
+        already C-contiguous.
         """
         if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8:
             raise ValueError("rows must be a uint8 numpy array")
@@ -224,16 +234,24 @@ class SolutionMap:
             )
         if rows.size and rows.max() > 1:
             raise ValueError("rows must hold only 0/1 values")
+        if cuts is not None:
+            cuts = np.ascontiguousarray(cuts, dtype=np.int64)
+            if cuts.shape != (len(counts),):
+                raise ValueError(f"cuts of shape {cuts.shape} do not fit {len(counts)} counts")
+            cuts.flags.writeable = False
         m = cls.__new__(cls)
-        m._init(tuple(nodes), rows, list(counts))
+        m._init(tuple(nodes), rows, list(counts), cuts)
         return m
 
-    def _init(self, nodes: tuple[int, ...], rows: np.ndarray, counts: list[int]) -> None:
+    def _init(
+        self, nodes: tuple[int, ...], rows: np.ndarray, counts: list[int], cuts
+    ) -> None:
         rows = np.ascontiguousarray(rows)
         rows.flags.writeable = False
         self.nodes = nodes
         self.rows = rows
         self.row_counts = counts
+        self.cuts = cuts
         self._counts = None
 
     @property
@@ -259,7 +277,8 @@ class SolutionMap:
         """The entries at `indices`, in that order, optionally with new counts."""
         if counts is None:
             counts = [self.row_counts[i] for i in indices]
-        return SolutionMap.from_rows(self.nodes, self.rows[indices], counts)
+        cuts = None if self.cuts is None else self.cuts[indices]
+        return SolutionMap.from_rows(self.nodes, self.rows[indices], counts, cuts)
 
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "counts": dict(self.counts)}

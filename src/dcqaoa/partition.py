@@ -77,8 +77,11 @@ def nlgp(g: Graph, k: int) -> SeparationResult:
     still joins an ancestor to a descendant. The ``low`` of each kept
     non-root x stays exact: a dropped subtree below x reached no ``disc``
     under v's, which is not under x's, and the kept subtrees' lows never
-    depended on the rest. Only a root's ``low`` and ``size`` may go stale,
-    and no rule reads them.
+    depended on the rest. ``size`` stays an interval width, not a count:
+    the kept positions in ``[disc[x], disc[x] + size[x])`` are still exactly
+    x's subtree, but an ancestor of a dropped subtree keeps counting its
+    nodes. So no rule reads ``size`` as a node count, and none reads a
+    root's ``low``, which may go stale too.
 
     Raises ConnectivityExceededError when no set of fewer than k nodes
     disconnects g.

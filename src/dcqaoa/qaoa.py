@@ -182,18 +182,34 @@ def optimize_params(
     return AnsatzParams.from_flat(best_x), best_val
 
 
-def sample_solution_map(g: Graph, params: AnsatzParams, shots: int, seed: int) -> SolutionMap:
-    """Seeded measurement of the final state; entry order is unspecified."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
+def output_distribution(g: Graph, params: AnsatzParams) -> np.ndarray:
+    """Normalized measurement probabilities of all 2^n basis states of the final state."""
     n = _check_qubits(g.n)
     probs = _probabilities(_evolve(_initial_half(n), g.cut_table, params.layers))
     probs /= probs.sum()
+    return probs
+
+
+def sample_solution_map(
+    g: Graph, params: AnsatzParams, shots: int, seed: int, *, probs: np.ndarray | None = None
+) -> SolutionMap:
+    """Seeded measurement of the final state; entry order is unspecified.
+
+    `probs`, when given, is ``output_distribution(g, params)`` computed
+    before, so the circuit is not run again. Each row carries its cut, read
+    off ``g.cut_table``: index b of the upper half has the cut of its
+    complement 2^n - 1 - b.
+    """
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
+    if probs is None:
+        probs = output_distribution(g, params)
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     drawn = np.flatnonzero(draws)
-    rows = index_rows(drawn, n)
-    return SolutionMap.from_rows(g.nodes, rows, draws[drawn].tolist())
+    rows = index_rows(drawn, g.n)
+    cuts = g.cut_table[np.minimum(drawn, (1 << g.n) - 1 - drawn)]
+    return SolutionMap.from_rows(g.nodes, rows, draws[drawn].tolist(), cuts)
 
 
 def qaoa_maxcut(

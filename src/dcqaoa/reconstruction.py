@@ -50,6 +50,13 @@ def combine(
     differ on some g1 node, and two m2 rows that match the same m1 row agree
     on the common nodes, so they differ on some node only g2 has. Entry
     order is unspecified.
+
+    When both maps carry cuts, the merged row's cut is cut1 + cut2. That is
+    exact for the split ``nlgp`` makes: its two edge sets are disjoint and
+    cover the parent's edges (separator-internal edges go to g1 only), and
+    the merged row agrees with each side's row on that side's nodes, so
+    every parent edge is scored once, by the side that holds it. The sum is
+    taken in ``int64``, so cuts beyond the leaf table's ``int16`` do not wrap.
     """
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
@@ -70,7 +77,8 @@ def combine(
     merged[:, np.searchsorted(union_nodes, nodes1)] = m1.rows[i1]
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
-    return SolutionMap.from_rows(tuple(union_nodes.tolist()), merged, counts)
+    cuts = None if m1.cuts is None or m2.cuts is None else m1.cuts[i1] + m2.cuts[i2]
+    return SolutionMap.from_rows(tuple(union_nodes.tolist()), merged, counts, cuts)
 
 
 def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
@@ -81,13 +89,20 @@ def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     changes. Ties on cut size break toward the lexicographically smaller
     assignment. Entries stay in that cut order, so a truncation that splits
     a tie of counts keeps the larger cuts.
+
+    A map that carries cuts (sampled, combined, or reranked before) is
+    sorted by them without scoring an edge; only a map built without cuts,
+    such as one from a dict, is scored on g. The result carries its cuts.
     """
     if not m.row_counts:
         raise ValueError("cannot rerank an empty solution map")
+    if m.nodes != g.nodes:
+        raise ValueError("solution map and graph have different node sets")
+    cuts = cut_values(g, m.rows) if m.cuts is None else m.cuts
     by_row = lexicographic_order(m.rows)
-    by_cut = by_row[np.argsort(-cut_values(g, m.rows)[by_row], kind="stable")]
+    by_cut = by_row[np.argsort(-cuts[by_row], kind="stable")]
     counts_desc = sorted(m.row_counts, reverse=True)
-    return m.take(by_cut.tolist(), counts_desc)
+    return SolutionMap.from_rows(m.nodes, m.rows[by_cut], counts_desc, cuts[by_cut])
 
 
 def kl_divergence(p: SolutionMap, q: SolutionMap) -> float:

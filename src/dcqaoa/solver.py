@@ -12,13 +12,27 @@ count.
 Leaves share optimized angles within one solve: the first leaf of each
 ``graphs.refined_form`` key (in pre-order) runs the optimizer, and later
 leaves with that key reuse its angles. Equal keys imply isomorphic leaves,
-whose QAOA expectations are equal, so sharing is exact. Every leaf still
-samples its own distribution from its own seed.
+whose QAOA expectations are equal, so sharing is exact.
+
+Leaves of one shape, equal ``(n, edge_positions)``, share more: the first
+such leaf's key, its ``cut_table`` and its output distribution. Equal edge
+positions give a bitwise-equal table, hence the same key and angles, hence
+a bitwise-equal distribution, so this sharing is exact too. A distribution
+is held only while a later leaf of its shape still waits to draw, which the
+pre-order leaf list, complete before the first leaf is solved, tells in
+advance. Every leaf still draws its own sample from its own seed, in
+pre-order.
+
+Maps carry each row's cut (see ``SolutionMap``), so re-ranking above the
+leaves sorts by cuts the leaves read off their tables and ``combine`` summed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import qaoa
 from .errors import ReconstructionError
@@ -27,10 +41,6 @@ from .partition import nlgp, nrl
 from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, MAX_SHOTS, AnsatzParams
 from .reconstruction import combine, rerank_by_cut, scheme_function
 from .seeds import derive_seed
-
-
-# Optimized angles of one solve, keyed by the leaf's refined form.
-AngleCache = dict[tuple, AnsatzParams]
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,7 @@ class PartitionNode:
 def weight_map(m: SolutionMap) -> SolutionMap:
     """Multiply every count by the map's node count (subgraph size weighting)."""
     width = len(m.nodes)
-    return SolutionMap.from_rows(m.nodes, m.rows, [c * width for c in m.row_counts])
+    return SolutionMap.from_rows(m.nodes, m.rows, [c * width for c in m.row_counts], m.cuts)
 
 
 def abridge(m: SolutionMap, t: int) -> SolutionMap:
@@ -147,7 +157,8 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
 
     Splits the whole tree into one pre-order list first, so a partition
     failure raises before any QAOA runs; then solves the leaves in list
-    order and merges from the end of the list, where each split finds its
+    order, cutting each leaf's map to its top t rows as soon as it is drawn,
+    and merges from the end of the list, where each split finds its
     children's maps on top of a stack. No pass recurses, so any depth works.
     """
     if g.n == 0:
@@ -168,24 +179,27 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
         todo += [(child, part, derive_seed(seed, "child", part.nodes), depth + 1)
                  for child, part in zip(node.children[::-1], (g2, g1))]
 
-    angles: AngleCache = {}
-    maps = [_solve_leaf(sub, seed, cfg, angles) for node, sub, seed, _ in order if node.is_leaf]
+    leaves = [(sub, seed) for node, sub, seed, _ in order if node.is_leaf]
+    cache = LeafCache([sub for sub, _ in leaves])
+    maps = [_top_rows(sub, _solve_leaf(sub, seed, cfg, cache), cfg) for sub, seed in leaves]
 
     done: list[tuple[Graph, SolutionMap]] = []
     while order:
         node, sub, _, depth = order.pop()
         if node.is_leaf:
-            out = maps.pop()
-        else:
-            (g1, m1), (g2, m2) = done.pop(), done.pop()
-            out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
-            if not out.row_counts:
-                raise ReconstructionError(depth, sub.nodes)
-        out = rerank_by_cut(sub, out)
-        out = abridge(out, cfg.t)
-        out = rescale(out, cfg.s)
-        done.append((sub, out))
+            done.append((sub, maps.pop()))
+            continue
+        (g1, m1), (g2, m2) = done.pop(), done.pop()
+        out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
+        if not out.row_counts:
+            raise ReconstructionError(depth, sub.nodes)
+        done.append((sub, _top_rows(sub, out, cfg)))
     return done[0][1], root
+
+
+def _top_rows(g: Graph, m: SolutionMap, cfg: DcConfig) -> SolutionMap:
+    """m re-ranked by cut on g, cut to its top t rows and rescaled to s."""
+    return rescale(abridge(rerank_by_cut(g, m), cfg.t), cfg.s)
 
 
 def tree_nrl(g: Graph, tree: PartitionNode) -> float:
@@ -194,12 +208,47 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
     return nrl(g, leaf_graphs)
 
 
-def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, angles: AngleCache) -> SolutionMap:
+class LeafCache:
+    """What the leaves of one solve share (see the module docstring).
+
+    ``angles`` maps a ``refined_form`` key to its optimized angles.
+    ``waiting`` counts, per shape, the leaves not yet solved, and ``shapes``
+    holds (key, cut table, distribution) of each shape that a later leaf
+    still needs.
+    """
+
+    def __init__(self, leaves: list[Graph]):
+        self.angles: dict[tuple, AnsatzParams] = {}
+        self.waiting = Counter(map(_shape, leaves))
+        self.shapes: dict[tuple, tuple] = {}
+
+
+def _shape(g: Graph) -> tuple[int, bytes]:
+    """(n, edge positions): leaves with equal shapes have equal cut tables."""
+    return g.n, np.asarray(g.edge_positions, dtype=np.int64).tobytes()
+
+
+def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, cache: LeafCache) -> SolutionMap:
     """QAOA on one leaf: optimize (or reuse an isomorphic leaf's angles), then sample."""
     seed = derive_seed(seed, "leaf", g.nodes)
-    key = refined_form(g)
-    if key not in angles:
-        angles[key], _ = qaoa.optimize_params(
+    shape = _shape(g)
+    cache.waiting[shape] -= 1
+    if shape in cache.shapes:
+        key, table, probs = cache.shapes[shape]
+        # cached_property reads the instance dict first, so g reuses the table
+        g.__dict__["cut_table"] = table
+    else:
+        key, probs = refined_form(g), None
+    if key not in cache.angles:
+        cache.angles[key], _ = qaoa.optimize_params(
             g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
         )
-    return qaoa.sample_solution_map(g, angles[key], cfg.s, seed=derive_seed(seed, "sample"))
+    params = cache.angles[key]
+    if cache.waiting[shape]:
+        if probs is None:
+            probs = qaoa.output_distribution(g, params)
+        cache.shapes[shape] = (key, g.cut_table, probs)
+    else:
+        cache.shapes.pop(shape, None)
+    sample_seed = derive_seed(seed, "sample")
+    return qaoa.sample_solution_map(g, params, cfg.s, seed=sample_seed, probs=probs)

@@ -8,12 +8,19 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
-from dcqaoa.graphs import components_excluding, index_rows
+from dcqaoa.graphs import (
+    components_excluding,
+    cut_values,
+    index_rows,
+    lexicographic_order,
+    refined_form,
+)
 from dcqaoa.partition import SeparationResult
 import dcqaoa.qaoa as qaoa
 import dcqaoa.solver as solver
 from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half
 from dcqaoa.reconstruction import scheme_function
+from dcqaoa.seeds import derive_seed
 
 
 # property tests explore the same examples on every run and keep no database
@@ -135,6 +142,28 @@ def floor_rescale(m: SolutionMap, s: int) -> SolutionMap:
     scaled = [(s * c) // total for c in m.row_counts]
     kept = [i for i, c in enumerate(scaled) if c > 0]
     return m.take(kept, [scaled[i] for i in kept])
+
+
+def scored_rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
+    """Rerank by cuts scored over every edge of g, whatever the map carries:
+    the oracle for reconstruction.rerank_by_cut, which sorts by carried cuts."""
+    by_row = lexicographic_order(m.rows)
+    by_cut = by_row[np.argsort(-cut_values(g, m.rows)[by_row], kind="stable")]
+    counts_desc = sorted(m.row_counts, reverse=True)
+    return m.take(by_cut.tolist(), counts_desc)
+
+
+def unshared_solve_leaf(g: Graph, seed: int, cfg, cache) -> SolutionMap:
+    """Each leaf builds its own key and cut table and runs its own circuit,
+    sharing only angles by refined form: the oracle for solver._solve_leaf,
+    which also shares them between leaves of one shape."""
+    seed = derive_seed(seed, "leaf", g.nodes)
+    key = refined_form(g)
+    if key not in cache.angles:
+        cache.angles[key], _ = qaoa.optimize_params(
+            g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
+        )
+    return qaoa.sample_solution_map(g, cache.angles[key], cfg.s, seed=derive_seed(seed, "sample"))
 
 
 def gathered_cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:

@@ -475,6 +475,16 @@ class TestSolutionMap:
         assert list(rebuilt.counts.items()) == list(m.counts.items())
         assert rebuilt == m and rebuilt.rows.flags.c_contiguous
 
+    def test_cuts_ride_with_their_rows(self):
+        rows = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
+        m = SolutionMap.from_rows((0, 1), rows, [4, 2, 1], np.array([1, 0, 0], dtype=np.int16))
+        assert m.cuts.dtype == np.int64 and not m.cuts.flags.writeable
+        assert m.take([2, 0]).cuts.tolist() == [0, 1]
+        assert SolutionMap((0, 1), {"01": 1}).cuts is None
+        assert SolutionMap.from_rows((0, 1), rows, [4, 2, 1]).take([1]).cuts is None
+        with pytest.raises(ValueError):
+            SolutionMap.from_rows((0, 1), rows, [4, 2, 1], [1, 0])
+
     def test_zero_width_map(self):
         m = SolutionMap((), {"": 5})
         assert m.rows.shape == (1, 0)

@@ -244,6 +244,69 @@ class TestForestSplits:
         assert len(builds) == 1
 
 
+def descendants(parent: np.ndarray, x: int) -> set[int]:
+    """Positions whose parent chain passes through x, x included."""
+    out = set()
+    for y in range(len(parent)):
+        z = y
+        while z >= 0 and z != x:
+            z = parent[z]
+        if z == x:
+            out.add(y)
+    return out
+
+
+def pieces(g, k):
+    """g and every piece of its recursive split down to k nodes."""
+    out, todo = [], [g]
+    while todo:
+        piece = todo.pop()
+        out.append(piece)
+        if piece.n > k:
+            todo.extend(nlgp(piece, k).subgraphs)
+    return out
+
+
+def stale_sizes(g, k) -> list[tuple]:
+    """Check the inherited forest of every piece: for each non-root x, the
+    kept positions whose disc lies in [disc[x], disc[x] + size[x]) are x's
+    descendants under the piece's parent. Returns (nodes, x, size, kept)
+    for each x whose size counts more nodes than the piece keeps."""
+    stale = []
+    for piece in pieces(g, k):
+        disc, _, size, parent = piece.lowpoints
+        for x in np.flatnonzero(parent >= 0).tolist():
+            inside = (disc >= disc[x]) & (disc < disc[x] + size[x])
+            below = descendants(parent, x)
+            assert set(np.flatnonzero(inside).tolist()) == below, (piece.nodes, x)
+            if size[x] != len(below):
+                stale.append((piece.nodes, x, int(size[x]), len(below)))
+    return stale
+
+
+class TestInheritedForest:
+    """An inherited ``size`` is a ``disc`` interval width, not a node count:
+    the ancestors of a dropped subtree keep counting its nodes."""
+
+    def test_chain_pieces_keep_intervals_but_not_counts(self):
+        stale = stale_sizes(random_chain_graph(30, 1), 8)
+        assert ((20, 21, 22, 23), 1, 9, 3) in stale
+        assert len([s for s in stale if len(s[0]) <= 8]) == 23
+
+    @settings(deadline=None)
+    @given(chains(), st.integers(4, 8))  # a K4 block needs k >= 4
+    def test_chains(self, g, k):
+        stale_sizes(g, k)
+
+    @given(forests(), st.integers(2, 8))
+    def test_forests(self, g, k):
+        stale_sizes(g, k)
+
+    @given(cycles_with_pendants(), st.integers(3, 5))
+    def test_cycles_with_pendants(self, g, k):
+        stale_sizes(g, k)
+
+
 class TestSeparationInvariants:
     def test_on_random_connected_graphs(self, rng):
         checked = 0

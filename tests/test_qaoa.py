@@ -19,11 +19,13 @@ from dcqaoa import (
 )
 import dcqaoa.graphs as dcgraphs
 import dcqaoa.qaoa as qaoa
+from dcqaoa.graphs import cut_values
 from dcqaoa.qaoa import (
     _evolve,
     _expectation_of,
     _initial_half,
     apply_cost_phases,
+    output_distribution,
 )
 from conftest import (
     build_initial_state,
@@ -412,6 +414,25 @@ class TestSampling:
         m = sample_solution_map(g, params, shots, seed)
         assert m.nodes == g.nodes
         assert m.counts == counts
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_nodes=9), st.integers(0, 10**6))
+    def test_rows_carry_their_cuts(self, g, seed):
+        # drawn indices of both halves, the upper one read off the complement
+        params = AnsatzParams(((0.7, 0.3), (1.9, 2.6)))
+        m = sample_solution_map(g, params, 3000, seed)
+        assert m.cuts.dtype == np.int64
+        assert m.cuts.tolist() == cut_values(g, m.rows).tolist()
+
+    def test_precomputed_distribution_gives_the_same_draw(self):
+        g = random_graph(7, 0.5, seed=3)
+        params = AnsatzParams(((0.7, 0.3), (1.9, 2.6)))
+        probs = output_distribution(g, params)
+        assert probs.shape == (1 << g.n,) and probs.sum() == pytest.approx(1.0)
+        ours = sample_solution_map(g, params, 500, seed=9, probs=probs)
+        fresh = sample_solution_map(g, params, 500, seed=9)
+        assert list(ours.counts.items()) == list(fresh.counts.items())
+        assert ours.cuts.tolist() == fresh.cuts.tolist()
 
     def test_complement_symmetry_of_distribution(self, rng):
         # the symmetry the half-state simulator rests on, shown on full states

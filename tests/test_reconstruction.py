@@ -15,7 +15,7 @@ from dcqaoa import (
     nlgp,
     rerank_by_cut,
 )
-from dcqaoa.graphs import index_rows
+from dcqaoa.graphs import cut_values, index_rows
 from dcqaoa.reconstruction import KL_SMOOTHING, SCHEMES
 from conftest import graphs, naive_cut_size, positions, string_combine, toy_graph, triangle
 
@@ -73,6 +73,30 @@ class TestCombine:
             assert out.nodes == (0, 1, 2, 3, 4)
             assert len(out.counts) == len(m1.counts) * len(m2.counts)
             assert out.counts == expected
+
+    def test_carried_cuts_add_without_wrapping(self):
+        # each side's cut fits the leaf table's int16, their sum does not
+        g1, g2 = Graph.from_edges([(0, 1)]), Graph.from_edges([(1, 2)])
+        cut = np.array([30_000], dtype=np.int16)
+        m1 = SolutionMap.from_rows(g1.nodes, np.array([[0, 1]], dtype=np.uint8), [2], cut)
+        m2 = SolutionMap.from_rows(g2.nodes, np.array([[1, 0]], dtype=np.uint8), [3], cut)
+        out = combine(g1, g2, m1, m2, "mul")
+        assert out.counts == {"010": 6}
+        assert out.cuts.dtype == np.int64
+        assert out.cuts.tolist() == [60_000]
+
+    def test_cuts_carried_only_when_both_sides_have_them(self):
+        g1, g2 = toy_halves()
+        m1 = SolutionMap(g1.nodes, {"011": 30, "100": 5})
+        m2 = SolutionMap(g2.nodes, {"110": 20, "010": 4})
+        assert combine(g1, g2, m1, m2, "min").cuts is None
+        with_cuts = [
+            SolutionMap.from_rows(m.nodes, m.rows, m.row_counts, cut_values(g, m.rows))
+            for g, m in zip((g1, g2), (m1, m2))
+        ]
+        assert combine(g1, g2, with_cuts[0], m2, "min").cuts is None
+        out = combine(g1, g2, *with_cuts, "min")
+        assert out.cuts.tolist() == cut_values(toy_graph(), out.rows).tolist()
 
     def test_unknown_scheme_rejected(self):
         g1, g2 = toy_halves()
@@ -280,6 +304,24 @@ class TestRerank:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rerank_by_cut(triangle(), SolutionMap((0, 1, 2), {}))
+
+    def test_other_node_set_rejected(self):
+        with pytest.raises(ValueError):
+            rerank_by_cut(triangle(), SolutionMap((0, 1, 3), {"011": 1}))
+
+    def test_sorts_by_carried_cuts_and_carries_them(self):
+        # carried cuts are trusted: these ones invert the triangle's true cuts
+        rows = np.array([[0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+        m = SolutionMap.from_rows((0, 1, 2), rows, [9, 1], [0, 2])
+        out = rerank_by_cut(triangle(), m)
+        assert list(out.counts.items()) == [("000", 9), ("011", 1)]
+        assert out.cuts.tolist() == [2, 0]
+
+    def test_scores_a_map_without_cuts_and_carries_them(self):
+        m = SolutionMap((0, 1, 2), {"000": 9, "011": 1, "001": 4})
+        assert m.cuts is None
+        out = rerank_by_cut(triangle(), m)
+        assert out.cuts.tolist() == cut_values(triangle(), out.rows).tolist() == [2, 2, 0]
 
 
 def smoothed_vector(m, support):

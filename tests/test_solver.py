@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcqaoa import qaoa, solver
@@ -28,20 +28,25 @@ from dcqaoa import (
     weight_map,
 )
 from dcqaoa.seeds import derive_seed
-from dcqaoa.graphs import refined_form
+from dcqaoa.graphs import cut_values, refined_form
 from conftest import (
     brute_force_form,
+    chains,
     complete_graph,
     count_maps,
     cycle_graph,
+    cycles_with_pendants,
+    disjoint_unions,
     enumerated_nlgp,
     floor_rescale,
     forests,
     graphs,
     isomorphic,
     relabel,
+    scored_rerank_by_cut,
     toy_graph,
     triangle,
+    unshared_solve_leaf,
 )
 
 
@@ -322,6 +327,142 @@ class TestAngleCache:
         monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
         dc_qaoa_traced(random_chain_graph(n, seed), DcConfig(k=8, seed=1, budget=20, restarts=1))
         assert group_by(leaves, refined_form) == group_by(leaves, brute_force_form)
+
+
+def leaf_shape(g: Graph) -> tuple:
+    return g.n, tuple(map(tuple, g.edge_positions.tolist()))
+
+
+def checked_solve(g: Graph, cfg: DcConfig):
+    """dc_qaoa_traced with every rerank checked against the scored oracle:
+    each map handed to rerank_by_cut carries the cuts cut_values gives, and
+    the rerank equals the oracle in rows, counts and order. Returns the
+    solution and tree, or the error type the solve raised."""
+    real = solver.rerank_by_cut
+
+    def checked_rerank(g, m):
+        assert m.cuts is not None
+        assert np.array_equal(m.cuts, cut_values(g, m.rows))
+        out, want = real(g, m), scored_rerank_by_cut(g, m)
+        assert np.array_equal(out.rows, want.rows)
+        assert out.row_counts == want.row_counts
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "rerank_by_cut", checked_rerank)
+        try:
+            return dc_qaoa_traced(g, cfg)
+        except (ConnectivityExceededError, ReconstructionError) as exc:
+            return type(exc)
+
+
+def unshared_solve(g: Graph, cfg: DcConfig):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_solve_leaf", unshared_solve_leaf)
+        try:
+            return dc_qaoa_traced(g, cfg)
+        except (ConnectivityExceededError, ReconstructionError) as exc:
+            return type(exc)
+
+
+def assert_carried_and_shared_are_exact(g: Graph, k: int, seed: int):
+    """Carried cuts equal scored ones at every rerank, and sharing per leaf
+    shape gives the same map, in the same order, as unshared leaves.
+    Returns the solve's tree (None when it raised)."""
+    cfg = DcConfig(k=k, p=1, s=200, t=8, seed=seed, budget=8, restarts=1)
+    got, want = checked_solve(g, cfg), unshared_solve(g, cfg)
+    if isinstance(got, type):
+        assert got is want
+        return None
+    (solution, tree), (oracle, _) = got, want
+    assert list(solution.counts.items()) == list(oracle.counts.items())
+    assert np.array_equal(solution.cuts, oracle.cuts)
+    assert np.array_equal(solution.cuts, cut_values(g, solution.rows))
+    return tree
+
+
+class TestSharedLeafWork:
+    """Cuts ride up the tree with their rows, and leaves of one shape share
+    one key, cut table and distribution; both are exact."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(chains(), st.integers(2, 8), st.integers(0, 3))
+    def test_chains(self, g, k, seed):
+        assume(g.n > k)
+        assert_carried_and_shared_are_exact(g, k, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(forests(), st.integers(2, 6), st.integers(0, 3))
+    def test_forests(self, g, k, seed):
+        assert_carried_and_shared_are_exact(g, k, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(disjoint_unions(), st.integers(2, 6), st.integers(0, 3))
+    def test_disjoint_unions(self, g, k, seed):
+        assert_carried_and_shared_are_exact(g, k, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(cycles_with_pendants(), st.integers(3, 5), st.integers(0, 3))
+    def test_cycles_with_pendants(self, g, k, seed):
+        assert_carried_and_shared_are_exact(g, k, seed)
+
+    # 6-9 nodes and n to 1.5n edges: most trees need a 2- or 3-node separator at k = 3, 4
+    sparse_graphs = st.integers(6, 9).flatmap(
+        lambda n: st.integers(n, 3 * n // 2).flatmap(
+            lambda m: graphs(nodes=list(range(n)), edge_count=m)
+        )
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_graphs, st.integers(3, 4), st.integers(0, 3))
+    def test_graphs_split_at_two_and_three_nodes(self, g, k, seed):
+        tree = assert_carried_and_shared_are_exact(g, k, seed)
+        assume(tree is not None)
+        assume(any(len(node.separator) >= 2 for node in tree.preorder()))
+
+    def test_distribution_computed_once_per_leaf_shape(self, monkeypatch):
+        computed, sampled, held = [], [], []
+        real_distribution, real_sample = qaoa.output_distribution, qaoa.sample_solution_map
+        real_leaf = solver._solve_leaf
+
+        def counting_distribution(g, params):
+            computed.append(leaf_shape(g))
+            return real_distribution(g, params)
+
+        def recording_sample(g, *args, **kwargs):
+            sampled.append(g)
+            return real_sample(g, *args, **kwargs)
+
+        def watched_leaf(g, seed, cfg, cache):
+            out = real_leaf(g, seed, cfg, cache)
+            # a shape is held only while a later leaf of it waits
+            assert all(cache.waiting[shape] > 0 for shape in cache.shapes)
+            held.append(len(cache.shapes))
+            return out
+
+        monkeypatch.setattr(qaoa, "output_distribution", counting_distribution)
+        monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
+        monkeypatch.setattr(solver, "_solve_leaf", watched_leaf)
+        cfg = DcConfig(k=8, seed=1, budget=20, restarts=1)
+        _, tree = dc_qaoa_traced(random_chain_graph(100, 2), cfg)
+
+        assert [leaf.nodes for leaf in sampled] == [leaf.nodes for leaf in tree.leaves()]
+        shapes = [leaf_shape(leaf) for leaf in sampled]
+        assert len(set(shapes)) < len(shapes)
+        assert sorted(computed) == sorted(set(shapes))
+        assert held[-1] == 0
+
+    def test_leaves_of_one_shape_share_one_cut_table(self, monkeypatch):
+        tables = {}
+        real_sample = qaoa.sample_solution_map
+
+        def recording_sample(g, *args, **kwargs):
+            tables.setdefault(leaf_shape(g), set()).add(id(g.cut_table))
+            return real_sample(g, *args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
+        dc_qaoa(random_chain_graph(100, 2), DcConfig(k=8, seed=1, budget=20, restarts=1))
+        assert all(len(ids) == 1 for ids in tables.values())
 
 
 class TestDcConfig:
