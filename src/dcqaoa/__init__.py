@@ -1,5 +1,9 @@
 """Divide-and-conquer QAOA MaxCut solver with classical baselines."""
 
+# numpy imports these lazily (np.unique loads numpy.ma): load them now, not in the first solve
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .baselines import greedy_local_search, random_search
 from .errors import (
     ConnectivityExceededError,

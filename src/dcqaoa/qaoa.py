@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import SizeLimitError
 from .graphs import Graph, SolutionMap, index_rows
@@ -135,6 +134,83 @@ def _expectation_of(half: np.ndarray, table: np.ndarray) -> float:
     return float(probs @ np.concatenate((table, table[::-1])) / probs.sum())
 
 
+class _BudgetSpent(Exception):
+    """An objective call past the simplex's evaluation budget."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
+    """Minimize `fun` from `x0` with at most `budget` calls to it.
+
+    Step for step the Nelder-Mead of scipy 1.17.1 (``_minimize_neldermead``)
+    with ``maxfev=budget``, ``xatol=1e-3`` and ``fatol=_EV_TOL``: reflection
+    1, expansion 2, contraction 0.5, shrink 0.5, and an initial simplex that
+    scales each coordinate by 1.05, or sets it to 0.00025 where it is 0. A
+    call past the budget ends the iteration where it stands; vertices never
+    evaluated keep inf. `fun` must not keep or modify the array it gets.
+    """
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return fun(x)
+
+    def step() -> None:
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                    return
+            else:  # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                    return
+            for j in range(1, n + 1):  # shrink toward the best vertex
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts the initial simplex twice; argsort need not be stable on ties
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    while calls < budget:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-3
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _EV_TOL):
+            break
+        try:
+            step()
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], float(np.min(fsim))
+
+
 def optimize_params(
     g: Graph,
     p: int,
@@ -146,7 +222,11 @@ def optimize_params(
 
     Each restart begins from a seeded uniform draw over the angle box
     gamma in [0, 2pi), beta in [0, pi) and may spend `budget` function
-    evaluations. Deterministic for a fixed seed.
+    evaluations. Deterministic for a fixed seed. The simplex is
+    ``_nelder_mead``: scipy's non-adaptive rules (reflection 1, expansion
+    2, contraction 0.5, shrink 0.5), stopping when vertices lie within
+    1e-3 and values within ``_EV_TOL`` of the best, or when the budget is
+    spent. ``tests/conftest.py::scipy_nelder_mead`` is its oracle.
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
@@ -168,16 +248,11 @@ def optimize_params(
         x0 = np.empty(2 * p)
         x0[0::2] = rng.uniform(0.0, 2.0 * math.pi, size=p)
         x0[1::2] = rng.uniform(0.0, math.pi, size=p)
-        result = minimize(
-            neg_expectation,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "fatol": _EV_TOL, "xatol": 1e-3},
-        )
-        value = -float(result.fun)
+        x, low = _nelder_mead(neg_expectation, x0, budget)
+        value = -low
         if value > best_val:
             best_val = value
-            best_x = np.asarray(result.x, dtype=float)
+            best_x = x
     assert best_x is not None
     return AnsatzParams.from_flat(best_x), best_val
 

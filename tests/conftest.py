@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
 from dcqaoa.graphs import (
@@ -189,6 +190,17 @@ def blocked_random_search(g: Graph, budget: int, seed: int, block: int = 4096) -
         if cuts[best] > best_cut:
             best_cut, best_row = int(cuts[best]), rows[best]
     return "".join(str(b) for b in best_row), best_cut
+
+
+def scipy_nelder_mead(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
+    """scipy's Nelder-Mead as ``optimize_params`` ran it: the oracle of ``qaoa._nelder_mead``."""
+    result = minimize(
+        fun,
+        x0,
+        method="Nelder-Mead",
+        options={"maxfev": budget, "fatol": qaoa._EV_TOL, "xatol": 1e-3},
+    )
+    return result.x, result.fun
 
 
 def positions(g: Graph) -> dict[int, int]:

@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dcqaoa
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(dcqaoa.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     "AnsatzParams",
@@ -59,3 +63,37 @@ def test_readme_library_snippet_runs(capsys):
     assert match, "README has no python block under '## Library'"
     exec(match.group(1), {})
     assert float(capsys.readouterr().out.strip()) > 0
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_package_import_loads_no_scipy():
+    code = (
+        "import sys, dcqaoa, dcqaoa.cli;"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert run_fresh(code) == "[]"
+
+
+def test_solve_loads_no_module_without_scipy():
+    # scipy is blocked, and numpy's lazily imported submodules load with the package
+    code = """
+import sys
+sys.modules["scipy"] = None
+import dcqaoa, dcqaoa.cli
+from dcqaoa import DcConfig, Graph, dc_qaoa_traced
+triangles = ((0, 1), (0, 2), (1, 2))
+chain = Graph.from_edges([(2 * j + a, 2 * j + b) for j in range(8) for a, b in triangles])
+loaded = set(sys.modules)
+dc_qaoa_traced(chain, DcConfig(k=4, budget=10, restarts=1))
+print(sorted(set(sys.modules) - loaded))
+"""
+    assert run_fresh(code) == "[]"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -47,6 +47,7 @@ from conftest import (
     qaoa_expectation,
     random_half,
     relabelings,
+    scipy_nelder_mead,
     toy_graph,
     triangle,
 )
@@ -376,6 +377,93 @@ class TestOptimizer:
             optimize_params(k2(), p=0, seed=1)
         with pytest.raises(ValueError):
             optimize_params(k2(), p=1, seed=1, budget=0)
+
+
+def counted(fun):
+    """`fun` and a list that grows by one entry per call to it."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(None)
+        return fun(x)
+
+    return wrapped, calls
+
+
+def leaf_objective(g, p):
+    """The negated expected cut that ``optimize_params`` minimizes."""
+    half0, table = _initial_half(g.n), g.cut_table
+    return lambda x: -_expectation_of(
+        _evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), table
+    )
+
+
+class TestNelderMead:
+    """``qaoa._nelder_mead`` against scipy's Nelder-Mead, bit for bit and call for call."""
+
+    @staticmethod
+    def check(fun, x0, budget):
+        ours, ours_calls = counted(fun)
+        theirs, their_calls = counted(fun)
+        x, value = qaoa._nelder_mead(ours, x0.copy(), budget)
+        x_ref, value_ref = scipy_nelder_mead(theirs, x0.copy(), budget)
+        assert x.view(np.uint64).tolist() == x_ref.view(np.uint64).tolist()
+        assert np.float64(value).view(np.uint64) == np.float64(value_ref).view(np.uint64)
+        assert len(ours_calls) == len(their_calls) <= budget
+
+    @staticmethod
+    def start(p, seed, zero):
+        """A start drawn as ``optimize_params`` draws it, one coordinate zeroed if asked."""
+        rng = np.random.default_rng(seed)
+        x0 = np.empty(2 * p)
+        x0[0::2] = rng.uniform(0.0, 2.0 * math.pi, size=p)
+        x0[1::2] = rng.uniform(0.0, math.pi, size=p)
+        if zero:
+            x0[rng.integers(2 * p)] = 0.0
+        return x0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs(max_nodes=6).filter(lambda g: g.edges),  # edgeless: see the constant objective
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_qaoa_objectives(self, p, g, budget, seed, zero):
+        self.check(leaf_objective(g, p), self.start(p, seed, zero), budget)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(graphs(max_nodes=6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_budget_ends_in_initial_simplex(self, p, g, seed, zero):
+        for budget in range(1, 2 * p + 2):
+            self.check(leaf_objective(g, p), self.start(p, seed, zero), budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["constant", "plateau", "max-abs"]),
+        st.lists(
+            st.sampled_from([0.0, -1.5, 0.25, 3.0]) | st.floats(-5.0, 5.0), min_size=1, max_size=6
+        ),
+        st.integers(1, 200),
+    )
+    @example("plateau", [3.0, 0.25], 28)  # an outside contraction ties its reflection
+    @example("plateau", [0.25, 3.0, 3.0], 52)  # the budget ends in a shrink that found a new best
+    def test_ties_and_plateaus(self, shape, x0, budget):
+        fun = {
+            "constant": lambda x: 1.0,  # every sort is a tie
+            "plateau": lambda x: round(float(x @ x), 1),
+            "max-abs": lambda x: float(np.max(np.abs(x))),
+        }[shape]
+        self.check(fun, np.array(x0), budget)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_optimize_params_through_scipy(self, monkeypatch, p):
+        g = random_graph(5, 0.6, seed=2)
+        ours = optimize_params(g, p, seed=13, budget=80, restarts=3)
+        monkeypatch.setattr(qaoa, "_nelder_mead", scipy_nelder_mead)
+        assert optimize_params(g, p, seed=13, budget=80, restarts=3) == ours
 
 
 class TestSampling:
