@@ -225,6 +225,17 @@ class SolutionMap:
         ``int64`` `cuts` (made read-only) without copying when they are
         already C-contiguous.
         """
+        m = cls._from_known_rows(nodes, rows, counts, cuts)
+        if m.rows.size and m.rows.max() > 1:
+            raise ValueError("rows must hold only 0/1 values")
+        return m
+
+    @classmethod
+    def _from_known_rows(
+        cls, nodes: tuple[int, ...], rows: np.ndarray, counts, cuts=None
+    ) -> "SolutionMap":
+        """:meth:`from_rows` for rows sliced or merged from other maps' rows,
+        which hold only 0/1 already: the values are not scanned again."""
         if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8:
             raise ValueError("rows must be a uint8 numpy array")
         if rows.ndim != 2 or rows.shape != (len(counts), len(nodes)):
@@ -232,8 +243,6 @@ class SolutionMap:
                 f"rows of shape {rows.shape} do not fit {len(counts)} counts "
                 f"over {len(nodes)} nodes"
             )
-        if rows.size and rows.max() > 1:
-            raise ValueError("rows must hold only 0/1 values")
         if cuts is not None:
             cuts = np.ascontiguousarray(cuts, dtype=np.int64)
             if cuts.shape != (len(counts),):
@@ -278,7 +287,7 @@ class SolutionMap:
         if counts is None:
             counts = [self.row_counts[i] for i in indices]
         cuts = None if self.cuts is None else self.cuts[indices]
-        return SolutionMap.from_rows(self.nodes, self.rows[indices], counts, cuts)
+        return SolutionMap._from_known_rows(self.nodes, self.rows[indices], counts, cuts)
 
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "counts": dict(self.counts)}

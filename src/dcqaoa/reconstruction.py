@@ -78,7 +78,7 @@ def combine(
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
     cuts = None if m1.cuts is None or m2.cuts is None else m1.cuts[i1] + m2.cuts[i2]
-    return SolutionMap.from_rows(tuple(union_nodes.tolist()), merged, counts, cuts)
+    return SolutionMap._from_known_rows(tuple(union_nodes.tolist()), merged, counts, cuts)
 
 
 def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
@@ -102,7 +102,7 @@ def rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     by_row = lexicographic_order(m.rows)
     by_cut = by_row[np.argsort(-cuts[by_row], kind="stable")]
     counts_desc = sorted(m.row_counts, reverse=True)
-    return SolutionMap.from_rows(m.nodes, m.rows[by_cut], counts_desc, cuts[by_cut])
+    return SolutionMap._from_known_rows(m.nodes, m.rows[by_cut], counts_desc, cuts[by_cut])
 
 
 def kl_divergence(p: SolutionMap, q: SolutionMap) -> float:

@@ -14,6 +14,14 @@ Leaves share optimized angles within one solve: the first leaf of each
 leaves with that key reuse its angles. Equal keys imply isomorphic leaves,
 whose QAOA expectations are equal, so sharing is exact.
 
+A leaf that runs the optimizer starts from the angles of the last leaf of
+its size that ran it in this solve, and skips its random restarts when
+that start comes close to the donor's expectation ratio (see
+``LeafCache.params``). That warm start is only a starting point, not
+sharing: the leaf optimizes its own expectation from there, and may end at
+other angles than a cold search would give it. Leaves without edges
+neither take nor give a warm start.
+
 Leaves of one shape, equal ``(n, edge_positions)``, share more: the first
 such leaf's key, its ``cut_table`` and its output distribution. Equal edge
 positions give a bitwise-equal table, hence the same key and angles, hence
@@ -117,7 +125,8 @@ class PartitionNode:
 def weight_map(m: SolutionMap) -> SolutionMap:
     """Multiply every count by the map's node count (subgraph size weighting)."""
     width = len(m.nodes)
-    return SolutionMap.from_rows(m.nodes, m.rows, [c * width for c in m.row_counts], m.cuts)
+    counts = [c * width for c in m.row_counts]
+    return SolutionMap._from_known_rows(m.nodes, m.rows, counts, m.cuts)
 
 
 def abridge(m: SolutionMap, t: int) -> SolutionMap:
@@ -211,16 +220,36 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
 class LeafCache:
     """What the leaves of one solve share (see the module docstring).
 
-    ``angles`` maps a ``refined_form`` key to its optimized angles.
-    ``waiting`` counts, per shape, the leaves not yet solved, and ``shapes``
-    holds (key, cut table, distribution) of each shape that a later leaf
-    still needs.
+    ``angles`` maps a ``refined_form`` key to its optimized angles, and
+    ``donors`` a qubit count to the warm start its next search takes (see
+    :meth:`params`). ``waiting`` counts, per shape, the leaves not yet
+    solved, and ``shapes`` holds (key, cut table, distribution) of each
+    shape that a later leaf still needs.
     """
 
     def __init__(self, leaves: list[Graph]):
         self.angles: dict[tuple, AnsatzParams] = {}
+        self.donors: dict[int, tuple[AnsatzParams, float]] = {}
         self.waiting = Counter(map(_shape, leaves))
         self.shapes: dict[tuple, tuple] = {}
+
+    def params(self, g: Graph, key: tuple, seed: int, cfg: DcConfig) -> AnsatzParams:
+        """The angles of `key`, optimized on g, its first leaf, when not yet known.
+
+        The search warm-starts from ``donors[g.n]``, the angles and expectation
+        ratio (expected cut over maximum cut) of the last leaf of g's size
+        optimized in this solve, which g then replaces. A leaf without edges
+        neither takes nor gives a warm start.
+        """
+        if key not in self.angles:
+            max_cut = int(g.cut_table.max())
+            self.angles[key], value = qaoa.optimize_params(
+                g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget,
+                restarts=cfg.restarts, start=self.donors.get(g.n) if max_cut else None,
+            )
+            if max_cut:
+                self.donors[g.n] = (self.angles[key], value / max_cut)
+        return self.angles[key]
 
 
 def _shape(g: Graph) -> tuple[int, bytes]:
@@ -239,11 +268,7 @@ def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, cache: LeafCache) -> Solutio
         g.__dict__["cut_table"] = table
     else:
         key, probs = refined_form(g), None
-    if key not in cache.angles:
-        cache.angles[key], _ = qaoa.optimize_params(
-            g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
-        )
-    params = cache.angles[key]
+    params = cache.params(g, key, seed, cfg)
     if cache.waiting[shape]:
         if probs is None:
             probs = qaoa.output_distribution(g, params)

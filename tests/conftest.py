@@ -156,15 +156,12 @@ def scored_rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
 
 def unshared_solve_leaf(g: Graph, seed: int, cfg, cache) -> SolutionMap:
     """Each leaf builds its own key and cut table and runs its own circuit,
-    sharing only angles by refined form: the oracle for solver._solve_leaf,
-    which also shares them between leaves of one shape."""
+    sharing only angles by refined form and warm starts by size, both through
+    LeafCache.params: the oracle for solver._solve_leaf, which also shares
+    work between leaves of one shape."""
     seed = derive_seed(seed, "leaf", g.nodes)
-    key = refined_form(g)
-    if key not in cache.angles:
-        cache.angles[key], _ = qaoa.optimize_params(
-            g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget, restarts=cfg.restarts
-        )
-    return qaoa.sample_solution_map(g, cache.angles[key], cfg.s, seed=derive_seed(seed, "sample"))
+    params = cache.params(g, refined_form(g), seed, cfg)
+    return qaoa.sample_solution_map(g, params, cfg.s, seed=derive_seed(seed, "sample"))
 
 
 def gathered_cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -201,6 +198,36 @@ def scipy_nelder_mead(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, flo
         options={"maxfev": budget, "fatol": qaoa._EV_TOL, "xatol": 1e-3},
     )
     return result.x, result.fun
+
+
+def cold_draws(p: int, seed: int, restarts: int) -> list[np.ndarray]:
+    """The random starts of a cold ``optimize_params`` search, in order."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(restarts):
+        x0 = np.empty(2 * p)
+        x0[0::2] = rng.uniform(0.0, 2.0 * math.pi, size=p)
+        x0[1::2] = rng.uniform(0.0, math.pi, size=p)
+        starts.append(x0)
+    return starts
+
+
+def cold_optimize_params(g: Graph, p: int, seed: int, budget: int, restarts: int):
+    """optimize_params before warm starts, mirroring the cut table on every
+    evaluation: the oracle for qaoa.optimize_params without `start`."""
+    half0, table = qaoa._initial_half(g.n), g.cut_table
+
+    def neg_expectation(x):
+        half = qaoa._evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)])
+        probs = qaoa._probabilities(half)
+        return -float(probs @ np.concatenate((table, table[::-1])) / probs.sum())
+
+    best_x, best_val = None, -math.inf
+    for x0 in cold_draws(p, seed, restarts):
+        x, low = qaoa._nelder_mead(neg_expectation, x0, budget)
+        if -low > best_val:
+            best_x, best_val = x, -low
+    return qaoa.AnsatzParams.from_flat(best_x), best_val
 
 
 def positions(g: Graph) -> dict[int, int]:
@@ -258,7 +285,8 @@ def final_state(g: Graph, params) -> np.ndarray:
 
 def qaoa_expectation(g: Graph, params) -> float:
     """Exact expected cut size of the circuit's output distribution."""
-    return _expectation_of(_evolve(_initial_half(g.n), g.cut_table, params.layers), g.cut_table)
+    half = _evolve(_initial_half(g.n), g.cut_table, params.layers)
+    return _expectation_of(half, mirrored(g.cut_table).astype(np.float64))
 
 
 def build_initial_state(n: int) -> np.ndarray:

@@ -29,6 +29,8 @@ from dcqaoa.qaoa import (
 )
 from conftest import (
     build_initial_state,
+    cold_draws,
+    cold_optimize_params,
     complete_graph,
     cut_value_table,
     cycle_graph,
@@ -263,7 +265,8 @@ class TestEvolution:
             expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
         ours = _evolve(half, g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        assert _expectation_of(ours, g.cut_table) == full_expectation(
+        weights = mirrored(g.cut_table).astype(np.float64)
+        assert _expectation_of(ours, weights) == full_expectation(
             expected, table.astype(np.float64)
         )
 
@@ -276,7 +279,8 @@ class TestEvolution:
         expected = full_evolve(build_initial_state(n), table, layers)
         ours = _evolve(_initial_half(n), g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        assert _expectation_of(ours, g.cut_table) == full_expectation(expected, table)
+        weights = mirrored(g.cut_table).astype(np.float64)
+        assert _expectation_of(ours, weights) == full_expectation(expected, table)
 
 
 class TestExpectation:
@@ -393,8 +397,9 @@ def counted(fun):
 def leaf_objective(g, p):
     """The negated expected cut that ``optimize_params`` minimizes."""
     half0, table = _initial_half(g.n), g.cut_table
+    weights = mirrored(table).astype(np.float64)
     return lambda x: -_expectation_of(
-        _evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), table
+        _evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), weights
     )
 
 
@@ -464,6 +469,116 @@ class TestNelderMead:
         ours = optimize_params(g, p, seed=13, budget=80, restarts=3)
         monkeypatch.setattr(qaoa, "_nelder_mead", scipy_nelder_mead)
         assert optimize_params(g, p, seed=13, budget=80, restarts=3) == ours
+
+
+def bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+def flat(params: AnsatzParams) -> list[float]:
+    return [a for layer in params.layers for a in layer]
+
+
+class RecordedRuns:
+    """Wraps ``qaoa._nelder_mead``: per run, its start, the point of its
+    first objective call and its result."""
+
+    def __init__(self, monkeypatch):
+        self.runs = []
+        real = qaoa._nelder_mead
+
+        def recorded(fun, x0, budget):
+            run = {"x0": np.array(x0)}
+            self.runs.append(run)
+
+            def fun_first(x):
+                run.setdefault("first_call", np.array(x))
+                return fun(x)
+
+            run["result"] = real(fun_first, x0, budget)
+            return run["result"]
+
+        monkeypatch.setattr(qaoa, "_nelder_mead", recorded)
+
+
+class TestWarmStart:
+    """``optimize_params`` with and without a warm start."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graphs(max_nodes=9).filter(lambda g: g.n >= 2),
+        st.integers(1, 3),
+        st.integers(1, 80),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cold_search_is_unchanged(self, g, p, budget, restarts, seed):
+        params, value = optimize_params(g, p, seed, budget, restarts, start=None)
+        want_params, want_value = cold_optimize_params(g, p, seed, budget, restarts)
+        assert bits(flat(params)) == bits(flat(want_params))
+        assert bits(value) == bits(want_value)
+
+    @staticmethod
+    def donor(p):
+        """Angles and expectation ratio of another 7-node graph."""
+        g = random_graph(7, 0.5, seed=21)
+        params, value = optimize_params(g, p, seed=4, budget=60, restarts=2)
+        return params, value / int(g.cut_table.max())
+
+    graph = random_graph(7, 0.5, seed=5)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_first_call_is_at_the_donor_angles(self, monkeypatch, p):
+        angles, ratio = self.donor(p)
+        recorded = RecordedRuns(monkeypatch)
+        optimize_params(self.graph, p, seed=8, budget=60, restarts=2, start=(angles, ratio))
+        first = recorded.runs[0]
+        assert bits(first["x0"]) == bits(flat(angles))
+        assert bits(first["first_call"]) == bits(flat(angles))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_a_start_within_the_slack_ends_the_search(self, monkeypatch, p):
+        angles, _ = self.donor(p)
+        reached = RecordedRuns(monkeypatch)
+        optimize_params(self.graph, p, seed=8, budget=60, restarts=3, start=(angles, 2.0))
+        x, low = reached.runs[0]["result"]
+        achieved = -low / int(self.graph.cut_table.max())
+        for ratio in (0.0, achieved, achieved + qaoa._WARM_SLACK - 1e-9):
+            recorded = RecordedRuns(monkeypatch)
+            params, value = optimize_params(
+                self.graph, p, seed=8, budget=60, restarts=3, start=(angles, ratio)
+            )
+            assert len(recorded.runs) == 1
+            assert bits(flat(params)) == bits(x)
+            assert bits(value) == bits(-low)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("restarts", [1, 2, 4])
+    def test_a_start_short_of_the_slack_runs_the_cold_draws(self, monkeypatch, p, restarts):
+        angles, _ = self.donor(p)
+        reached = RecordedRuns(monkeypatch)
+        optimize_params(self.graph, p, seed=8, budget=60, restarts=1, start=(angles, 2.0))
+        achieved = reached.runs[0]["result"][1] / -int(self.graph.cut_table.max())
+        for ratio in (2.0, achieved + qaoa._WARM_SLACK + 1e-9):
+            recorded = RecordedRuns(monkeypatch)
+            params, value = optimize_params(
+                self.graph, p, seed=8, budget=60, restarts=restarts, start=(angles, ratio)
+            )
+            starts = [run["x0"] for run in recorded.runs]
+            assert bits(starts[0]) == bits(flat(angles))
+            assert [bits(x) for x in starts[1:]] == [
+                bits(x) for x in cold_draws(p, 8, restarts - 1)
+            ]
+            # the best run wins, the earliest on ties
+            lows = [run["result"][1] for run in recorded.runs]
+            best = recorded.runs[lows.index(min(lows))]["result"]
+            assert bits(flat(params)) == bits(best[0])
+            assert bits(value) == bits(-best[1])
+
+    def test_start_of_another_depth_is_refused(self):
+        angles, ratio = self.donor(1)
+        with pytest.raises(ValueError):
+            optimize_params(self.graph, 2, seed=8, start=(angles, ratio))
 
 
 class TestSampling:

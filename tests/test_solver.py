@@ -22,6 +22,7 @@ from dcqaoa import (
     nlgp,
     qaoa_maxcut,
     random_chain_graph,
+    random_graph,
     rerank_by_cut,
     rescale,
     tree_nrl,
@@ -463,6 +464,96 @@ class TestSharedLeafWork:
         monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
         dc_qaoa(random_chain_graph(100, 2), DcConfig(k=8, seed=1, budget=20, restarts=1))
         assert all(len(ids) == 1 for ids in tables.values())
+
+
+def ring_chain(blocks: int, size: int, seed: int, isolated: int = 0) -> Graph:
+    """`blocks` rings of `size` nodes plus random chords, consecutive rings
+    sharing one node, and `isolated` nodes without edges after them."""
+    rng = np.random.default_rng(seed)
+    edges, joint, label = set(), 0, 1
+    for _ in range(blocks):
+        ring = [joint, *range(label, label + size - 1)]
+        label += size - 1
+        edges |= {tuple(sorted((ring[i], ring[i - 1]))) for i in range(size)}
+        edges |= {(ring[i], ring[j]) for i in range(size) for j in range(i + 2, size)
+                  if rng.random() < 0.4}
+        joint = ring[-1]
+    return Graph.from_edges(sorted(edges), nodes=range(label + isolated))
+
+
+class TestWarmStartDonors:
+    """Each optimizer run on a leaf with edges starts from the angles and
+    expectation ratio of the last one on a leaf of its size, if any; a leaf
+    without edges neither takes nor gives a start."""
+
+    @staticmethod
+    def recorded_runs(monkeypatch):
+        runs = []
+        real = qaoa.optimize_params
+
+        def recording(g, *args, start=None, **kwargs):
+            result = real(g, *args, start=start, **kwargs)
+            runs.append((g, start, result))
+            return result
+
+        monkeypatch.setattr(qaoa, "optimize_params", recording)
+        return runs
+
+    @staticmethod
+    def assert_donor_rule(runs):
+        donors = {}
+        for g, start, (params, value) in runs:
+            max_cut = int(g.cut_table.max())
+            assert start == (donors.get(g.n) if max_cut else None)
+            if max_cut:
+                donors[g.n] = (params, value / max_cut)
+
+    def test_rings_of_one_size(self, monkeypatch):
+        runs = self.recorded_runs(monkeypatch)
+        dc_qaoa(ring_chain(4, 6, seed=3, isolated=8), DcConfig(k=6, p=2, budget=30, restarts=2))
+        self.assert_donor_rule(runs)
+        assert sum(start is not None for _, start, _ in runs) == 3
+
+    def test_leaves_without_edges_neither_take_nor_give(self, monkeypatch):
+        runs = self.recorded_runs(monkeypatch)
+        first, second = random_graph(6, 0.6, seed=1), random_graph(6, 0.6, seed=2)
+        empty = Graph.from_edges([], nodes=range(6))
+        cache = solver.LeafCache([])
+        for g in (first, empty, second):
+            cache.params(g, refined_form(g), 1, DcConfig(p=1, budget=10, restarts=2))
+        assert [g for g, _, _ in runs] == [first, empty, second]
+        params, value = runs[0][2]
+        assert [start for _, start, _ in runs] == [
+            None, None, (params, value / int(first.cut_table.max()))
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(graphs(max_nodes=9), chains(max_nodes=20), forests()), st.integers(2, 4))
+    def test_any_graph(self, g, k):
+        with pytest.MonkeyPatch.context() as mp:
+            runs = self.recorded_runs(mp)
+            try:
+                dc_qaoa(g, DcConfig(k=k, p=1, s=100, t=8, budget=8, restarts=2))
+            except (ConnectivityExceededError, ReconstructionError):
+                pass
+        self.assert_donor_rule(runs)
+
+
+class TestMapsFromMaps:
+    def test_only_sampled_rows_are_scanned(self, monkeypatch):
+        # take, weight_map, combine and rerank_by_cut slice or merge the rows
+        # of maps already checked, so only the leaves' samples are scanned
+        scanned = []
+        real = SolutionMap.from_rows
+
+        def counting(cls, nodes, *args, **kwargs):
+            scanned.append(nodes)
+            return real(nodes, *args, **kwargs)
+
+        monkeypatch.setattr(SolutionMap, "from_rows", classmethod(counting))
+        cfg = DcConfig(k=8, seed=1, budget=20, restarts=1)
+        _, tree = dc_qaoa_traced(random_chain_graph(100, 2), cfg)
+        assert scanned == [leaf.nodes for leaf in tree.leaves()]
 
 
 class TestDcConfig:
