@@ -11,7 +11,6 @@ from .errors import (
     EdgeListParseError,
     GenerationError,
     GraphValidationError,
-    ReconstructionError,
     SizeLimitError,
 )
 from .graphs import (
@@ -56,7 +55,6 @@ __all__ = [
     "Graph",
     "GraphValidationError",
     "PartitionNode",
-    "ReconstructionError",
     "SizeLimitError",
     "SolutionMap",
     "abridge",

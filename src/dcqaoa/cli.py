@@ -1,10 +1,10 @@
 """Benchmark command line: gen | solve | sweep | compare.
 
-Exit codes: 0 success, 1 input/usage error, 2 solver infeasibility
-(connectivity above the qubit budget, failed reconstruction). The
-DCQAOA_THREADS environment variable sets the worker-pool size for sweep
-and compare rows; results are identical for any thread count because every
-row derives its own seed.
+Exit codes: 0 success, 1 input/usage error, 2 solver infeasibility: no
+separator of fewer than k nodes exists (connectivity at or above the qubit
+budget). The DCQAOA_THREADS environment variable sets the worker-pool size
+for sweep and compare rows; results are identical for any thread count
+because every row derives its own seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     EdgeListParseError,
     GenerationError,
     GraphValidationError,
-    ReconstructionError,
     SizeLimitError,
 )
 from .graphs import (
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConnectivityExceededError, ReconstructionError) as exc:
+    except ConnectivityExceededError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except (

@@ -40,15 +40,3 @@ class ConnectivityExceededError(DcqaoaError):
             f"graph with {n_nodes} nodes has connectivity at or above k={k}; "
             f"no set of fewer than {k} nodes disconnects it"
         )
-
-
-class ReconstructionError(DcqaoaError):
-    """Combining sub-solutions produced an empty map at some tree depth."""
-
-    def __init__(self, depth: int, nodes: tuple[int, ...]):
-        self.depth = depth
-        self.nodes = nodes
-        super().__init__(
-            f"empty solution map after combine at tree depth {depth} "
-            f"(subproblem on {len(nodes)} nodes)"
-        )

@@ -344,8 +344,9 @@ def save_graph(g: Graph, path) -> None:
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Connected Erdős–Rényi G(n, p) sample, deterministic for a fixed seed.
 
-    Disconnected draws are re-sampled with an incremented seed, up to a
-    retry cap.
+    Disconnected draws (more than one root in ``lowpoints``, which the
+    returned graph keeps cached) are re-sampled with an incremented seed, up
+    to a retry cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -358,7 +359,7 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
         g = Graph.from_edges(
             [e for e, keep in zip(pairs, mask) if keep], nodes=range(n)
         )
-        if len(components_excluding(g, frozenset())) == 1:
+        if np.count_nonzero(g.lowpoints.parent < 0) == 1:
             return g
     raise GenerationError(
         f"no connected G({n}, {edge_prob}) sample within {_GENERATION_RETRIES} retries of seed {seed}"

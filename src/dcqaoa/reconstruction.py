@@ -1,9 +1,11 @@
 """Combining subgraph sampling distributions into a parent distribution.
 
-Two subgraph assignments may merge only when they agree on every shared
-node's bit. A pluggable scheme maps the pair of counts to the combined
-count; re-ranking and a smoothed KL divergence support quality evaluation
-of the reconstructed distribution.
+Two subgraph assignments merge when their bits on the shared nodes (their
+separator signatures) lie at the smallest Hamming distance found over all
+pairs: distance 0, bit agreement, wherever some pair agrees, so a merge
+never comes up empty. A pluggable scheme maps the pair of counts to the
+combined count; re-ranking and a smoothed KL divergence support quality
+evaluation of the reconstructed distribution.
 """
 
 from __future__ import annotations
@@ -36,27 +38,32 @@ def scheme_function(kind: str):
 def combine(
     g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, scheme: str
 ) -> SolutionMap:
-    """Merge every compatible assignment pair of the two subgraph maps.
+    """Merge the assignment pairs of the two subgraph maps whose signatures are nearest.
 
-    A pair is compatible when both rows assign the same bit to every common
-    node. The merged row over the union node set takes each node's bit from
-    the first map when the node belongs to g1, otherwise from the second;
-    its count is scheme(count1, count2). Node-disjoint maps have no common
-    node to disagree on, so every pair merges and the result is their
-    product. An empty result (no compatible pair) is returned as an empty
-    map for the caller to handle.
+    A row's signature is its bits on the common nodes. The pairs merged are
+    those at the smallest Hamming distance between signatures found over
+    all pairs; that is distance 0, every pair that agrees on all common
+    nodes, whenever one exists. The merged row over the union node set
+    takes each node's bit from the first map when the node belongs to g1,
+    otherwise from the second; its count is scheme(count1, count2).
+    Node-disjoint maps have an empty signature, so every pair merges and
+    the result is their product. Only an empty input map gives an empty
+    result. Entry order is unspecified.
 
-    No two compatible pairs give the same merged row: two different m1 rows
-    differ on some g1 node, and two m2 rows that match the same m1 row agree
-    on the common nodes, so they differ on some node only g2 has. Entry
-    order is unspecified.
+    At distance 0 no two pairs give the same merged row: two different m1
+    rows differ on some g1 node, and two m2 rows that match the same m1 row
+    agree on the common nodes, so they differ on some node only g2 has. At
+    distance > 0 two m2 rows that differ only on common nodes do give one
+    merged row; the first such pair, in pair order, is kept.
 
-    When both maps carry cuts, the merged row's cut is cut1 + cut2. That is
-    exact for the split ``nlgp`` makes: its two edge sets are disjoint and
-    cover the parent's edges (separator-internal edges go to g1 only), and
-    the merged row agrees with each side's row on that side's nodes, so
-    every parent edge is scored once, by the side that holds it. The sum is
-    taken in ``int64``, so cuts beyond the leaf table's ``int16`` do not wrap.
+    When both maps carry cuts, the merged row carries cut1 + cut2 at
+    distance 0. That is exact for the split ``nlgp`` makes: its two edge
+    sets are disjoint and cover the parent's edges (separator-internal
+    edges go to g1 only), and the merged row agrees with each side's row on
+    that side's nodes, so every parent edge is scored once, by the side
+    that holds it. At distance > 0 the merged row agrees only with m1's
+    row, so its g2 edges are scored on it again. The sum is taken in
+    ``int64``, so cuts beyond the leaf table's ``int16`` do not wrap.
     """
     fn = scheme_function(scheme)
     if m1.nodes != g1.nodes or m2.nodes != g2.nodes:
@@ -65,19 +72,27 @@ def combine(
     nodes2 = np.array(g2.nodes, dtype=np.int64)
     _, at1, at2 = np.intersect1d(nodes1, nodes2, assume_unique=True, return_indices=True)
     union_nodes = np.union1d(nodes1, nodes2)
+    columns2 = np.searchsorted(union_nodes, nodes2)
 
     # pairs (i1, i2) in m1 entry order, then m2 entry order
-    sig1 = m1.rows[:, at1]
-    sig2 = m2.rows[:, at2]
-    i1, i2 = np.nonzero((sig1[:, None, :] == sig2[None, :, :]).all(axis=2))
+    distance = (m1.rows[:, None, at1] != m2.rows[None, :, at2]).sum(axis=2)
+    nearest = int(distance.min(initial=len(at1)))
+    i1, i2 = np.nonzero(distance == nearest)
 
-    # matched pairs agree on the common columns, so either side may write them
+    # g1's columns go last, so the common bits come from m1
     merged = np.empty((len(i1), len(union_nodes)), dtype=np.uint8)
-    merged[:, np.searchsorted(union_nodes, nodes2)] = m2.rows[i2]
+    merged[:, columns2] = m2.rows[i2]
     merged[:, np.searchsorted(union_nodes, nodes1)] = m1.rows[i1]
+    if nearest:
+        _, first = np.unique(merged, axis=0, return_index=True)
+        keep = np.sort(first)
+        i1, i2, merged = i1[keep], i2[keep], merged[keep]
     c1, c2 = m1.row_counts, m2.row_counts
     counts = [fn(c1[a], c2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
-    cuts = None if m1.cuts is None or m2.cuts is None else m1.cuts[i1] + m2.cuts[i2]
+    cuts = None
+    if m1.cuts is not None and m2.cuts is not None:
+        cuts2 = cut_values(g2, merged[:, columns2]) if nearest else m2.cuts[i2]
+        cuts = m1.cuts[i1] + cuts2
     return SolutionMap._from_known_rows(tuple(union_nodes.tolist()), merged, counts, cuts)
 
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qaoa
-from .errors import ReconstructionError
 from .graphs import Graph, SolutionMap, refined_form
 from .partition import nlgp, nrl
 from .qaoa import DEFAULT_BUDGET, DEFAULT_RESTARTS, MAX_SHOTS, AnsatzParams
@@ -173,11 +172,11 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
     if g.n == 0:
         raise ValueError("graph has no nodes")
     root = PartitionNode(nodes=g.nodes)
-    order: list[tuple[PartitionNode, Graph, int, int]] = []
-    todo = [(root, g, cfg.seed, 0)]
+    order: list[tuple[PartitionNode, Graph, int]] = []
+    todo = [(root, g, cfg.seed)]
     while todo:
-        node, sub, seed, depth = todo.pop()
-        order.append((node, sub, seed, depth))
+        node, sub, seed = todo.pop()
+        order.append((node, sub, seed))
         if sub.n <= cfg.k:
             continue
         split = nlgp(sub, cfg.k)
@@ -185,23 +184,21 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
         node.separator = split.separator
         node.children = [PartitionNode(nodes=g1.nodes), PartitionNode(nodes=g2.nodes)]
         # g1 goes on top, so its whole subtree comes next in pre-order
-        todo += [(child, part, derive_seed(seed, "child", part.nodes), depth + 1)
+        todo += [(child, part, derive_seed(seed, "child", part.nodes))
                  for child, part in zip(node.children[::-1], (g2, g1))]
 
-    leaves = [(sub, seed) for node, sub, seed, _ in order if node.is_leaf]
+    leaves = [(sub, seed) for node, sub, seed in order if node.is_leaf]
     cache = LeafCache([sub for sub, _ in leaves])
     maps = [_top_rows(sub, _solve_leaf(sub, seed, cfg, cache), cfg) for sub, seed in leaves]
 
     done: list[tuple[Graph, SolutionMap]] = []
     while order:
-        node, sub, _, depth = order.pop()
+        node, sub, _ = order.pop()
         if node.is_leaf:
             done.append((sub, maps.pop()))
             continue
         (g1, m1), (g2, m2) = done.pop(), done.pop()
         out = combine(g1, g2, weight_map(m1), weight_map(m2), cfg.scheme)
-        if not out.row_counts:
-            raise ReconstructionError(depth, sub.nodes)
         done.append((sub, _top_rows(sub, out, cfg)))
     return done[0][1], root
 

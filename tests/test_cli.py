@@ -69,6 +69,16 @@ class TestSolve:
         assert main(["solve", str(path), "--k", "4", *FAST]) == 2
         assert "k=4" in capsys.readouterr().err
 
+    def test_chain_whose_top_maps_share_no_signature_solves(self, tmp_path, capsys):
+        # at t = 1 some split's two children keep rows that disagree on the separator
+        path = str(tmp_path / "chain.edges")
+        assert main(["gen", "--family", "chain", "--n", "100", "--seed", "1", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--t", "1", "--stable-output"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["reference"] == {"kind": "brute_force", "max_cut": 116}
+        assert 0.0 < report["metrics"]["approximation_ratio_best_sampled"] <= 1.0
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 2 3\n")

@@ -131,6 +131,26 @@ class TestRandomGraph:
             g = random_graph(int(rng.integers(2, 30)), 0.25, seed=int(rng.integers(0, 10**6)))
             assert len(components_excluding(g, frozenset())) == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.05, 0.6), st.integers(0, 10**6))
+    def test_connectivity_read_off_lowpoints_keeps_every_draw(self, n, p, seed):
+        # the rule random_graph used before: components_excluding finds one component
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        want = None
+        for attempt in range(graphs_module._GENERATION_RETRIES):
+            mask = np.random.default_rng(seed + attempt).random(len(pairs)) < p
+            g = Graph.from_edges([e for e, keep in zip(pairs, mask) if keep], nodes=range(n))
+            if len(components_excluding(g, frozenset())) == 1:
+                want = g
+                break
+        if want is None:
+            with pytest.raises(GenerationError):
+                random_graph(n, p, seed)
+            return
+        got = random_graph(n, p, seed)
+        assert got == want
+        assert "lowpoints" in got.__dict__
+
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             random_graph(5, 0.0, seed=1)

@@ -1,8 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy
 
@@ -26,11 +27,12 @@ def toy_halves():
 
 
 class TestCombine:
-    def test_shared_bit_mismatch_empty(self):
+    def test_shared_bit_mismatch_merges_nearest(self):
         g1, g2 = toy_halves()
         m1 = SolutionMap(g1.nodes, {"010": 30})
         m2 = SolutionMap(g2.nodes, {"110": 20})
-        assert combine(g1, g2, m1, m2, "min").counts == {}
+        # node 2 differs, so the one pair merges at distance 1 with m1's bit
+        assert combine(g1, g2, m1, m2, "min").counts == {"01010": 20}
 
     def test_min_scheme(self):
         g1, g2 = toy_halves()
@@ -56,7 +58,10 @@ class TestCombine:
         # node 2 is position 2 in g1 and position 0 in g2
         m1 = SolutionMap(g1.nodes, {"011": 30})
         m2 = SolutionMap(g2.nodes, {"010": 20})
-        assert combine(g1, g2, m1, m2, "min").counts == {}
+        assert combine(g1, g2, m1, m2, "min").counts == {"01110": 20}
+        # once some pair agrees on node 2, only agreeing pairs merge
+        m2 = SolutionMap(g2.nodes, {"010": 20, "101": 4})
+        assert combine(g1, g2, m1, m2, "min").counts == {"01101": 4}
 
     def test_no_common_node_joins_as_product(self, rng):
         # labels interleave: 0 and 2 come from a, 1, 3 and 4 from b
@@ -90,12 +95,8 @@ class TestCombine:
         m1 = SolutionMap(g1.nodes, {"011": 30, "100": 5})
         m2 = SolutionMap(g2.nodes, {"110": 20, "010": 4})
         assert combine(g1, g2, m1, m2, "min").cuts is None
-        with_cuts = [
-            SolutionMap.from_rows(m.nodes, m.rows, m.row_counts, cut_values(g, m.rows))
-            for g, m in zip((g1, g2), (m1, m2))
-        ]
-        assert combine(g1, g2, with_cuts[0], m2, "min").cuts is None
-        out = combine(g1, g2, *with_cuts, "min")
+        assert combine(g1, g2, with_cuts(g1, m1), m2, "min").cuts is None
+        out = combine(g1, g2, with_cuts(g1, m1), with_cuts(g2, m2), "min")
         assert out.cuts.tolist() == cut_values(toy_graph(), out.rows).tolist()
 
     def test_unknown_scheme_rejected(self):
@@ -169,9 +170,16 @@ def solution_maps(draw, nodes, max_entries=12):
     return SolutionMap(nodes, {format(b, f"0{n}b"): c for b, c in zip(keys, counts)})
 
 
+def edge_subsets(pairs):
+    return st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+
+
 @st.composite
 def map_pairs(draw, shared):
-    """(g1, g2, m1, m2) over two node sets that share nodes or are disjoint."""
+    """(g1, g2, m1, m2) over two node sets that share nodes or are disjoint.
+
+    The edges split as ``nlgp`` splits them: g2 has no edge between two
+    common nodes, so the two edge sets are disjoint."""
     universe = draw(st.lists(st.integers(0, 60), min_size=3, max_size=12, unique=True))
     cut = draw(st.integers(1, len(universe) - 1))
     nodes1, nodes2 = universe[:cut], universe[cut:]
@@ -179,9 +187,35 @@ def map_pairs(draw, shared):
         nodes2 = nodes2 + draw(
             st.lists(st.sampled_from(nodes1), min_size=1, max_size=len(nodes1), unique=True)
         )
-    g1 = Graph.from_edges([], nodes=nodes1)
-    g2 = Graph.from_edges([], nodes=nodes2)
+    pairs2 = [e for e in combinations(nodes2, 2) if not set(e) <= set(nodes1)]
+    g1 = Graph.from_edges(draw(edge_subsets(list(combinations(nodes1, 2)))), nodes=nodes1)
+    g2 = Graph.from_edges(draw(edge_subsets(pairs2)), nodes=nodes2)
     return g1, g2, draw(solution_maps(g1.nodes)), draw(solution_maps(g2.nodes))
+
+
+def nearest_string_combine(g1, g2, m1, m2, scheme):
+    """Pairs at the smallest signature distance over all pairs, merged as
+    strings; a repeated merged row keeps the first pair in pair order."""
+    fn = SCHEMES[scheme]
+    pos1, pos2 = positions(g1), positions(g2)
+    common = [v for v in g1.nodes if v in pos2]
+    union_nodes = sorted(set(g1.nodes) | set(g2.nodes))
+    pairs = [(s1, c1, s2, c2) for s1, c1 in m1.counts.items() for s2, c2 in m2.counts.items()]
+
+    def distance(s1, s2):
+        return sum(s1[pos1[v]] != s2[pos2[v]] for v in common)
+
+    nearest = min(distance(s1, s2) for s1, _, s2, _ in pairs)
+    merged = {}
+    for s1, c1, s2, c2 in pairs:
+        if distance(s1, s2) == nearest:
+            row = "".join(s1[pos1[v]] if v in pos1 else s2[pos2[v]] for v in union_nodes)
+            merged.setdefault(row, fn(c1, c2))
+    return nearest, merged
+
+
+def with_cuts(g, m):
+    return SolutionMap.from_rows(m.nodes, m.rows, m.row_counts, cut_values(g, m.rows))
 
 
 def assert_matches_string_combine(g1, g2, m1, m2, scheme):
@@ -197,7 +231,12 @@ class TestCombineOracle:
     @settings(max_examples=150, deadline=None)
     @given(map_pairs(shared=True), st.sampled_from(sorted(SCHEMES)))
     def test_shared_nodes_match_string_oracle(self, pair, scheme):
-        assert_matches_string_combine(*pair, scheme)
+        g1, g2, m1, m2 = pair
+        if string_combine(g1, g2, m1, m2, scheme)[1] or not (m1.counts and m2.counts):
+            assert_matches_string_combine(g1, g2, m1, m2, scheme)
+        else:
+            # no pair agrees on the common nodes: the nearest pairs merge
+            assert combine(g1, g2, m1, m2, scheme).counts
 
     @settings(max_examples=80, deadline=None)
     @given(map_pairs(shared=False), st.sampled_from(sorted(SCHEMES)))
@@ -208,16 +247,32 @@ class TestCombineOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(map_pairs(shared=True), st.sampled_from(sorted(SCHEMES)))
-    def test_maps_disagreeing_on_every_pair_give_empty_map(self, pair, scheme):
+    def test_maps_disagreeing_on_every_pair_merge_nearest(self, pair, scheme):
         g1, g2, m1, m2 = pair
         # the first common node is 0 on every m1 row and 1 on every m2 row
         node = next(v for v in g1.nodes if v in g2.nodes)
         i1, i2 = positions(g1)[node], positions(g2)[node]
         m1 = SolutionMap(g1.nodes, {a: c for a, c in m1.counts.items() if a[i1] == "0"})
         m2 = SolutionMap(g2.nodes, {a: c for a, c in m2.counts.items() if a[i2] == "1"})
-        out = combine(g1, g2, m1, m2, scheme)
-        assert out.counts == {} and out.rows.shape == (0, len(out.nodes))
-        assert_matches_string_combine(g1, g2, m1, m2, scheme)
+        assume(m1.counts and m2.counts)
+        out = combine(g1, g2, with_cuts(g1, m1), with_cuts(g2, m2), scheme)
+        nearest, merged = nearest_string_combine(g1, g2, m1, m2, scheme)
+        assert nearest > 0
+        assert out.counts and len(out.counts) == len(out.row_counts)
+        assert out.counts == merged
+        parent = Graph.from_edges(g1.edges + g2.edges, nodes=out.nodes)
+        assert out.cuts.tolist() == cut_values(parent, out.rows).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(map_pairs(shared=True), st.sampled_from(sorted(SCHEMES)))
+    def test_shared_nodes_match_nearest_string_oracle(self, pair, scheme):
+        g1, g2, m1, m2 = pair
+        assume(m1.counts and m2.counts)
+        out = combine(g1, g2, with_cuts(g1, m1), with_cuts(g2, m2), scheme)
+        assert len(out.counts) == len(out.row_counts)
+        assert out.counts == nearest_string_combine(g1, g2, m1, m2, scheme)[1]
+        parent = Graph.from_edges(g1.edges + g2.edges, nodes=out.nodes)
+        assert out.cuts.tolist() == cut_values(parent, out.rows).tolist()
 
     def test_minxmul_counts_beyond_int64_stay_exact(self):
         g1, g2 = toy_halves()
