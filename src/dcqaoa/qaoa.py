@@ -6,7 +6,17 @@ smallest node) is the most significant bit. The cost layer is one diagonal
 phase multiply by ``Graph.cut_table``, which equals the per-edge two-qubit
 phase circuit up to global phase. A cut value is an integer in 0..|E|, so
 the layer evaluates one phase per distinct cut value and gathers it by the
-table. The mixer is one whole-array step per qubit.
+table. The mixer is one whole-array step per qubit: three ufunc calls that
+write into views planned once per circuit. On a half of 64 amplitudes or
+more, the last three qubits, whose amplitude pairs lie fewer than 8 apart,
+run on a transposed copy of the state, where they pair whole rows.
+
+Workspace: ``optimize_params`` and ``output_distribution`` build one
+``_Workspace`` per circuit. It checks the cut table once and holds every
+array a run writes: two ping-pong state buffers, a scratch buffer and the
+planned views. A run therefore allocates no state-sized array, and each
+kernel does the same floating-point operations, in the same order, as one
+that allocates its results afresh.
 
 Half layout: a cut is unchanged when every bit flips, and both |+>^n and
 the mixer commute with X^n, so every state of the circuit is spin-flip
@@ -76,56 +86,138 @@ def _initial_half(n: int) -> np.ndarray:
     return np.full(1 << (n - 1), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
 
 
+class _Workspace:
+    """The arrays of one leaf's circuit, built once and reused by every run.
+
+    It holds the checked ``intp`` cut table and ``cut_range``, two
+    ping-pong state buffers ``a`` and ``b``, one scratch buffer, and every
+    mixer step's views for a layer that starts in either buffer. Each
+    kernel writes into the buffer its input is not in, so a state the
+    kernels return stays valid until the next kernel call on the same
+    workspace.
+    """
+
+    def __init__(self, n: int, table: np.ndarray):
+        if table.shape != (1 << (n - 1),):
+            raise ValueError("state and cut table dimensions differ")
+        if not np.issubdtype(table.dtype, np.integer):
+            raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
+        if table.min() < 0:
+            raise ValueError("cut table holds a negative entry")
+        self.table = table.astype(np.intp)  # numpy gathers by intp indices fastest
+        self.cut_range = np.arange(table.max() + 1, dtype=np.float64)
+        self.a, self.b, self.scratch = np.empty((3, len(table)), dtype=np.complex128)
+        self.from_a = self._mixer_steps(self.a, self.b)
+        self.from_b = self._mixer_steps(self.b, self.a)
+
+    def _mixer_steps(self, src: np.ndarray, dst: np.ndarray):
+        """The steps of a mixer layer that starts in `src`, and the buffer
+        it ends in. A qubit step is (source, reversed source, destination,
+        scratch) views, and each step moves the state to the other buffer.
+
+        Qubit 0 pairs the half with its reverse and qubit q >= 1 pairs the
+        halves of axis 1 of a (2^(q-1), 2, rest) view. At 64 amplitudes or
+        more, the last three qubits, whose pairs lie fewer than 8 apart, run
+        on the (8, rest) transpose of the state, where the same qubits pair
+        whole rows of it; a step with no reversed source is a transpose.
+        """
+        steps = []
+
+        def step(source, reversed_source, destination, scratch):
+            nonlocal src, dst
+            steps.append((source, reversed_source, destination, scratch))
+            src, dst = dst, src
+
+        def pair_step(shape):
+            view = src.reshape(shape)
+            step(view, view[:, ::-1], dst.reshape(shape), self.scratch.reshape(shape))
+
+        n = _qubits_of(src)
+        tail = 3 if len(src) >= 64 else 0
+        step(src, src[::-1], dst, self.scratch)
+        for q in range(1, n - tail):
+            pair_step((1 << (q - 1), 2, -1))
+        if tail:
+            step(src.reshape(-1, 8).T, None, dst.reshape(8, -1), None)
+            for j in range(tail):
+                pair_step((1 << j, 2, -1))
+            step(src.reshape(8, -1).T, None, dst.reshape(-1, 8), None)
+        return steps, src
+
+
 def apply_cost_phases(
-    half: np.ndarray, table: np.ndarray, cut_range: np.ndarray, gamma: float
+    half: np.ndarray,
+    table: np.ndarray,
+    cut_range: np.ndarray,
+    gamma: float,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Phase e^(-i*gamma*table[b]) on each amplitude of a half state.
 
     ``table`` is the half's ``Graph.cut_table`` and ``cut_range`` is 0.0,
     1.0, ..., max cut: the phase is evaluated once per cut value and
-    gathered by the table. ``_evolve`` checks the table once per circuit.
+    gathered by the table. ``work`` is the circuit's workspace, which
+    checked the table once when it was built; without it the call builds
+    one. The result is written into ``work``, not into `half`.
     """
-    gathered = np.exp(-1j * gamma * cut_range)[table]
+    if work is None:
+        work = _Workspace(_qubits_of(half), table)
+    phases = np.exp(-1j * gamma * cut_range)
+    # the table is checked; mode "raise" would gather into a temporary first
+    gathered = phases.take(table, out=work.b if half is work.a else work.a, mode="clip")
     return np.multiply(half, gathered, out=gathered)
 
 
-def apply_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
+def apply_mixer_layer(
+    half: np.ndarray, beta: float, work: _Workspace | None = None
+) -> np.ndarray:
     """R_X(2*beta) on every qubit of a spin-flip-symmetric state, as its half.
 
     For each qubit, every amplitude becomes cos(beta) times itself plus
     -i*sin(beta) times its partner across that qubit. For qubit 0 the
     partner of half[j] lies in the other half; by symmetry it equals
-    half[2^(n-1)-1-j], so the step pairs the half with its reverse. Qubit
-    q >= 1 pairs the halves of axis 1 of a (2^(q-1), 2, rest) view, one
-    whole-array step per qubit.
+    half[2^(n-1)-1-j], so the step pairs the half with its reverse. Each
+    qubit step is three whole-array ufunc calls into views that ``work``
+    planned when it was built (see ``_Workspace._mixer_steps``); without
+    ``work`` the call builds one. The result is written into ``work``, not
+    into `half`.
     """
-    n = _qubits_of(half)
+    if work is None:
+        # the workspace of an edgeless leaf: a mixer reads no cut table
+        work = _Workspace(_qubits_of(half), np.zeros(len(half), dtype=np.intp))
+    if half is work.b:
+        steps, out = work.from_b
+    else:
+        if half is not work.a:
+            np.copyto(work.a, half)
+        steps, out = work.from_a
     c = math.cos(beta)
     s = -1j * math.sin(beta)
-    out = c * half + s * half[::-1]
-    for q in range(1, n):
-        view = out.reshape(1 << (q - 1), 2, -1)
-        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
+    for src, rev, dst, scratch in steps:
+        if rev is None:
+            np.copyto(dst, src)
+        else:  # dst = c * src + s * rev, in this order
+            np.multiply(c, src, out=dst)
+            np.multiply(s, rev, out=scratch)
+            np.add(dst, scratch, out=dst)
     return out
 
 
-def _evolve(half: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
+def _evolve(
+    half: np.ndarray, table: np.ndarray, layers, work: _Workspace | None = None
+) -> np.ndarray:
     """The depth-p circuit on the half of a spin-flip-symmetric state.
 
-    ``table`` is ``Graph.cut_table``, the cut of each amplitude of the half;
-    it is checked here, once per circuit.
+    ``table`` is ``Graph.cut_table``, the cut of each amplitude of the half.
+    ``work`` is the circuit's workspace, which checked the table once when
+    it was built; without it the call builds one. `half` is left as it is,
+    and the result lives in ``work`` until its next run.
     """
-    if table.shape != half.shape:
-        raise ValueError("state and cut table dimensions differ")
-    if not np.issubdtype(table.dtype, np.integer):
-        raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
-    if table.min() < 0:
-        raise ValueError("cut table holds a negative entry")
-    cut_range = np.arange(table.max() + 1, dtype=np.float64)
-    table = table.astype(np.intp)  # numpy gathers by intp indices fastest
+    if work is None:
+        work = _Workspace(_qubits_of(half), table)
     for gamma, beta in layers:
-        half = apply_cost_phases(half, table, cut_range, gamma)
-        half = apply_mixer_layer(half, beta)
+        half = apply_cost_phases(half, work.table, work.cut_range, gamma, work)
+        half = apply_mixer_layer(half, beta, work)
     return half
 
 
@@ -255,11 +347,12 @@ def optimize_params(
         raise ValueError(f"warm start has depth {start[0].p}, not {p}")
     half0 = _initial_half(g.n)  # checks the qubit cap before the table is built
     table = g.cut_table
+    work = _Workspace(g.n, table)
     weights = np.concatenate((table, table[::-1])).astype(np.float64)
 
     def neg_expectation(x: np.ndarray) -> float:
         layers = [(x[2 * i], x[2 * i + 1]) for i in range(p)]
-        return -_expectation_of(_evolve(half0, table, layers), weights)
+        return -_expectation_of(_evolve(half0, table, layers, work), weights)
 
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None

@@ -336,7 +336,9 @@ def full_state_qaoa():
     the evolution mirrors the half cut table it is given."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qaoa, "_initial_half", build_initial_state)
-        mp.setattr(qaoa, "_evolve", lambda state, t, layers: full_evolve(state, mirrored(t), layers))
+        mp.setattr(
+            qaoa, "_evolve", lambda state, t, layers, work=None: full_evolve(state, mirrored(t), layers)
+        )
         mp.setattr(qaoa, "_probabilities", lambda state: np.abs(state) ** 2)
         yield
 
@@ -361,6 +363,38 @@ def loop_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
         view[:, 0, :] = c * top + s * bottom
         view[:, 1, :] = c * bottom + s * top
     return out
+
+
+def per_call_cost_phases(
+    half: np.ndarray, table: np.ndarray, cut_range: np.ndarray, gamma: float
+) -> np.ndarray:
+    """The half-state cost layer gathering fresh phases on every call: the
+    oracle for qaoa.apply_cost_phases, which writes into a workspace."""
+    gathered = np.exp(-1j * gamma * cut_range)[table]
+    return np.multiply(half, gathered, out=gathered)
+
+
+def per_call_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
+    """The half-state mixer allocating new arrays at every qubit step: the
+    oracle for qaoa.apply_mixer_layer, whose steps write into planned views."""
+    n = len(half).bit_length()
+    c = math.cos(beta)
+    s = -1j * math.sin(beta)
+    out = c * half + s * half[::-1]
+    for q in range(1, n):
+        view = out.reshape(1 << (q - 1), 2, -1)
+        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
+    return out
+
+
+def per_call_evolve(half: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
+    """The depth-p circuit through the per-call kernels: the oracle for
+    qaoa._evolve, which runs every layer in one workspace."""
+    cut_range = np.arange(table.max() + 1, dtype=np.float64)
+    table = table.astype(np.intp)
+    for gamma, beta in layers:
+        half = per_call_mixer_layer(per_call_cost_phases(half, table, cut_range, gamma), beta)
+    return half
 
 
 def toy_graph() -> Graph:

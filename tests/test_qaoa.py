@@ -45,6 +45,9 @@ from conftest import (
     mirrored,
     naive_cut_size,
     path_graph,
+    per_call_cost_phases,
+    per_call_evolve,
+    per_call_mixer_layer,
     positions,
     qaoa_expectation,
     random_half,
@@ -281,6 +284,101 @@ class TestEvolution:
         assert same_bits(mirrored(ours), expected)
         weights = mirrored(g.cut_table).astype(np.float64)
         assert _expectation_of(ours, weights) == full_expectation(expected, table)
+
+
+class TestWorkspace:
+    """One ``qaoa._Workspace`` reused across many calls, against the per-call kernels."""
+
+    @all_qubits
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.data(),
+        st.lists(st.tuples(wide_angles, wide_angles), min_size=5, max_size=5),
+        st.lists(
+            st.lists(st.tuples(wide_angles, wide_angles), min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_call_oracle_bit_for_bit(self, n, data, angles, runs, seed):
+        g = data.draw(graphs_on(n))
+        work = qaoa._Workspace(n, g.cut_table)
+        half = random_half(n, seed)
+        before = half.copy()
+        table, cut_range = work.table, work.cut_range
+        # cost, mixer, mixer, cost, mixer starts a mixer in each buffer for every n
+        ours, expected, starts = half, half, set()
+        for kind, (gamma, beta) in zip("cmmcm", angles):
+            if kind == "c":
+                ours = apply_cost_phases(ours, table, cut_range, gamma, work)
+                expected = per_call_cost_phases(expected, table, cut_range, gamma)
+            else:
+                starts.add(ours is work.b)
+                ours = apply_mixer_layer(ours, beta, work)
+                expected = per_call_mixer_layer(expected, beta)
+            assert same_bits(ours, expected)
+        assert starts == {False, True}
+        for layers in runs:
+            ours = _evolve(half, g.cut_table, layers, work)
+            assert same_bits(ours, per_call_evolve(half, g.cut_table, layers))
+        assert same_bits(half, before)
+
+    def test_successive_distributions_do_not_alias(self):
+        g = random_graph(9, 0.5, seed=6)
+        first = output_distribution(g, AnsatzParams(((0.7, 0.3),)))
+        kept = first.copy()
+        second = output_distribution(g, AnsatzParams(((1.9, 2.6),)))
+        assert not np.shares_memory(first, second)
+        assert same_bits(first, kept)
+
+    # the same messages as the circuit gave when it checked each run's table
+    def test_float_table_is_refused(self):
+        table = triangle().cut_table.astype(np.float64)
+        with pytest.raises(ValueError, match="integer dtype"):
+            qaoa._Workspace(3, table)
+
+    def test_negative_entry_is_refused(self):
+        table = triangle().cut_table.copy()
+        table[3] = -1
+        with pytest.raises(ValueError, match="negative"):
+            qaoa._Workspace(3, table)
+
+    def test_table_of_another_size_is_refused(self):
+        for table in (k2().cut_table, cut_value_table(triangle())):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                qaoa._Workspace(3, table)
+
+
+class TestKernelCalls:
+    """The calls the benchmark's tracer counts: one per kernel per layer and
+    objective evaluation, looked up on the module, on the 1-D half state."""
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (5, 2), (9, 3)])
+    def test_one_call_per_layer_and_evaluation(self, monkeypatch, n, p):
+        g = random_graph(n, 0.5, seed=n)
+        calls = {"apply_mixer_layer": [], "apply_cost_phases": []}
+        for name, record in calls.items():
+            def recorded(half, *args, kernel=getattr(qaoa, name), record=record):
+                record.append((half.ndim, half.shape))
+                return kernel(half, *args)
+
+            monkeypatch.setattr(qaoa, name, recorded)
+        evaluations = []
+        nelder_mead = qaoa._nelder_mead
+
+        def counted_nelder_mead(fun, x0, budget):
+            wrapped, seen = counted(fun)
+            evaluations.append(seen)
+            return nelder_mead(wrapped, x0, budget)
+
+        monkeypatch.setattr(qaoa, "_nelder_mead", counted_nelder_mead)
+        optimize_params(g, p, seed=3, budget=40, restarts=2)
+        total = sum(map(len, evaluations))
+        assert total > 0
+        for record in calls.values():
+            assert len(record) == p * total
+            assert set(record) == {(1, (1 << (n - 1),))}
 
 
 class TestExpectation:
@@ -671,9 +769,9 @@ class TestLeafCutTable:
             built.append(graph)
             return cut_values(graph, rows)
 
-        def recorded_evolve(half, table, layers, evolve=qaoa._evolve):
+        def recorded_evolve(half, table, layers, work=None, evolve=qaoa._evolve):
             seen.append(table)
-            return evolve(half, table, layers)
+            return evolve(half, table, layers, work)
 
         monkeypatch.setattr(dcgraphs, "cut_values", counted_cut_values)
         monkeypatch.setattr(qaoa, "_evolve", recorded_evolve)
