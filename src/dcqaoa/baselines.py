@@ -64,6 +64,8 @@ def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if g.n == 0:
+        raise ValueError("graph has no nodes")
     start = time.perf_counter()
     width = g.n - 1
     bitgen = np.random.default_rng(seed).bit_generator
@@ -93,6 +95,8 @@ def greedy_local_search(g: Graph, seed: int, restarts: int = 10) -> BaselineResu
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if g.n == 0:
+        raise ValueError("graph has no nodes")
     start = time.perf_counter()
     n = g.n
     pu, pv = g.edge_positions.T

@@ -234,80 +234,85 @@ def _expectation_of(half: np.ndarray, weights: np.ndarray) -> float:
     return float(probs @ weights / probs.sum())
 
 
-class _BudgetSpent(Exception):
-    """An objective call past the simplex's evaluation budget."""
+def _initial_simplex(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's initial simplex around `x0`, and its values, all inf so far:
+    vertex k + 1 scales coordinate k by 1.05, or sets it to 0.00025 where
+    it is 0."""
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    return sim, np.full(n + 1, np.inf)
+
+
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray) -> None:
+    order = np.argsort(fsim)
+    sim[:], fsim[:] = sim[order], fsim[order]
+
+
+def _simplex_search(sim: np.ndarray, fsim: np.ndarray):
+    """Nelder-Mead on a simplex from ``_initial_simplex``, as a generator.
+
+    It yields each point it wants and receives that point's value by
+    ``send``, and it updates `sim` and `fsim` in place. It keeps no budget
+    and ends when vertices lie within 1e-3 and values within ``_EV_TOL`` of
+    the best; a driver whose budget is spent closes it. Steps are scipy's
+    non-adaptive ones: reflection 1, expansion 2, contraction 0.5, shrink
+    0.5. Sorts are scipy's too: the initial simplex is sorted twice, also
+    when closed inside it, a step once, also when closed inside it, and a
+    close at a step's reflection point sorts nothing.
+    """
+    n = len(sim) - 1
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield sim[k]
+    finally:  # argsort need not be stable on ties, so the second sort counts
+        for _ in range(2):
+            _sort_simplex(sim, fsim)
+    while not (np.max(np.abs(sim[1:] - sim[0])) <= 1e-3
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= _EV_TOL):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr
+        try:
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = yield xe
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside when xr beats the worst vertex, else inside
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = yield xc
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):  # shrink toward the best vertex
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = yield sim[j]
+        finally:
+            _sort_simplex(sim, fsim)
 
 
 def _nelder_mead(fun, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
     """Minimize `fun` from `x0` with at most `budget` calls to it.
 
     Step for step the Nelder-Mead of scipy 1.17.1 (``_minimize_neldermead``)
-    with ``maxfev=budget``, ``xatol=1e-3`` and ``fatol=_EV_TOL``: reflection
-    1, expansion 2, contraction 0.5, shrink 0.5, and an initial simplex that
-    scales each coordinate by 1.05, or sets it to 0.00025 where it is 0. A
-    call past the budget ends the iteration where it stands; vertices never
+    with ``maxfev=budget``, ``xatol=1e-3`` and ``fatol=_EV_TOL``. It sends
+    ``_simplex_search`` at most `budget` values and then closes it, so a
+    spent budget ends the iteration where it stands; vertices never
     evaluated keep inf. `fun` must not keep or modify the array it gets.
     """
-    n = len(x0)
-    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    calls = 0
-
-    def f(x: np.ndarray) -> float:
-        nonlocal calls
-        if calls >= budget:
-            raise _BudgetSpent
-        calls += 1
-        return fun(x)
-
-    def step() -> None:
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                    return
-            else:  # inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                    return
-            for j in range(1, n + 1):  # shrink toward the best vertex
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(sim[j])
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # scipy sorts the initial simplex twice; argsort need not be stable on ties
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    while calls < budget:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-3
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _EV_TOL):
-            break
+    sim, fsim = _initial_simplex(x0)
+    search = _simplex_search(sim, fsim)
+    x = next(search)
+    for _ in range(budget):
         try:
-            step()
-        except _BudgetSpent:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+            x = search.send(fun(x))
+        except StopIteration:
+            break
+    search.close()
     return sim[0], float(np.min(fsim))
 
 
@@ -322,20 +327,17 @@ def optimize_params(
 ) -> tuple[AnsatzParams, float]:
     """Multi-start Nelder-Mead maximization of the expected cut.
 
-    Each restart begins from a seeded uniform draw over the angle box
-    gamma in [0, 2pi), beta in [0, pi) and may spend `budget` function
-    evaluations. Deterministic for a fixed seed. The simplex is
-    ``_nelder_mead``: scipy's non-adaptive rules (reflection 1, expansion
-    2, contraction 0.5, shrink 0.5), stopping when vertices lie within
-    1e-3 and values within ``_EV_TOL`` of the best, or when the budget is
-    spent. ``tests/conftest.py::scipy_nelder_mead`` is its oracle.
+    Each start may spend `budget` function evaluations of ``_nelder_mead``,
+    whose oracle is ``tests/conftest.py::scipy_nelder_mead``. A cold start
+    is a seeded uniform draw over the angle box gamma in [0, 2pi), beta in
+    [0, pi); the search is deterministic for a fixed seed.
 
     `start`, when given, is a warm start ``(angles, ratio)``: the first
-    restart runs from those depth-p angles instead of a draw. When it
+    search runs from those depth-p angles instead of a draw. When it
     reaches an expected cut of at least ``ratio - _WARM_SLACK`` times g's
-    maximum cut, it is returned; otherwise ``restarts - 1`` restarts follow
-    from the draws a cold search makes first, and the best of all wins
-    (the earliest on ties). Without `start` the search is the cold one.
+    maximum cut, it is returned; otherwise ``restarts - 1`` searches follow
+    from the draws a cold search makes first. The best of all wins (the
+    earliest on ties). Without `start` the search is the cold one.
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
@@ -357,23 +359,19 @@ def optimize_params(
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
     best_val = -math.inf
-    if start is not None:
-        angles, ratio = start
-        x0 = np.array([a for layer in angles.layers for a in layer])
-        best_x, low = _nelder_mead(neg_expectation, x0, budget)
-        best_val = -low
-        if best_val >= (ratio - _WARM_SLACK) * int(table.max()):
-            return AnsatzParams.from_flat(best_x), best_val
-        restarts -= 1
-    for _ in range(restarts):
-        x0 = np.empty(2 * p)
-        x0[0::2] = rng.uniform(0.0, 2.0 * math.pi, size=p)
-        x0[1::2] = rng.uniform(0.0, math.pi, size=p)
+    for k in range(restarts):
+        warm = k == 0 and start is not None
+        if warm:
+            x0 = np.array([a for layer in start[0].layers for a in layer])
+        else:
+            x0 = np.empty(2 * p)
+            x0[0::2] = rng.uniform(0.0, 2.0 * math.pi, size=p)
+            x0[1::2] = rng.uniform(0.0, math.pi, size=p)
         x, low = _nelder_mead(neg_expectation, x0, budget)
-        value = -low
-        if value > best_val:
-            best_val = value
-            best_x = x
+        if -low > best_val:
+            best_x, best_val = x, -low
+        if warm and best_val >= (start[1] - _WARM_SLACK) * int(table.max()):
+            break
     assert best_x is not None
     return AnsatzParams.from_flat(best_x), best_val
 
@@ -392,14 +390,16 @@ def sample_solution_map(
     """Seeded measurement of the final state; entry order is unspecified.
 
     `probs`, when given, is ``output_distribution(g, params)`` computed
-    before, so the circuit is not run again. Each row carries its cut, read
-    off ``g.cut_table``: index b of the upper half has the cut of its
-    complement 2^n - 1 - b.
+    before, so the circuit is not run again; any shape but (2^n,) is
+    refused. Each row carries its cut, read off ``g.cut_table``: index b of
+    the upper half has the cut of its complement 2^n - 1 - b.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
     if probs is None:
         probs = output_distribution(g, params)
+    elif np.shape(probs) != (1 << g.n,):
+        raise ValueError(f"probs has shape {np.shape(probs)}, not ({1 << g.n},)")
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     drawn = np.flatnonzero(draws)

@@ -196,6 +196,10 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_search(triangle(), budget=0, seed=1)
 
+    def test_graph_without_nodes_is_refused(self):
+        with pytest.raises(ValueError, match="^graph has no nodes$"):
+            random_search(Graph.from_edges([]), 10, seed=1)
+
 
 class TestGreedyLocalSearch:
     def test_bipartite_cuts_every_edge(self):
@@ -247,3 +251,7 @@ class TestGreedyLocalSearch:
         a = greedy_local_search(g, seed=2)
         b = greedy_local_search(g, seed=2)
         assert a.best_assignment == b.best_assignment
+
+    def test_graph_without_nodes_is_refused(self):
+        with pytest.raises(ValueError, match="^graph has no nodes$"):
+            greedy_local_search(Graph.from_edges([]), seed=1)

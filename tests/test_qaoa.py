@@ -561,6 +561,59 @@ class TestNelderMead:
         }[shape]
         self.check(fun, np.array(x0), budget)
 
+    @staticmethod
+    def one_value_per_turn(fun, x0, budget, points):
+        """A search driven as ``_nelder_mead`` drives it, pausing after each
+        value it is sent; it records each point it is asked for and returns
+        the search's result."""
+        sim, fsim = qaoa._initial_simplex(x0)
+        search = qaoa._simplex_search(sim, fsim)
+        x = next(search)
+        for _ in range(budget):
+            points.append(bits(x))
+            try:
+                x = search.send(fun(x))
+            except StopIteration:
+                break
+            yield
+        search.close()
+        return sim[0], float(np.min(fsim))
+
+    def test_searches_in_lock_step_match_searches_alone(self):
+        # the property that lets one batch evaluate the points of many searches
+        searches = [  # in order: converges after 155 calls, spends its budget, ends in a shrink
+            (leaf_objective(random_graph(5, 0.6, seed=2), 2), self.start(2, 7, False), 200),
+            (leaf_objective(random_graph(7, 0.5, seed=5), 3), self.start(3, 8, True), 90),
+            (lambda x: round(float(x @ x), 1), np.array([0.25, 3.0, 3.0]), 52),
+        ]
+        alone = []
+        for fun, x0, budget in searches:
+            points = []
+
+            def recorded(x, fun=fun, points=points):
+                points.append(bits(x))
+                return fun(x)
+
+            x, value = qaoa._nelder_mead(recorded, x0.copy(), budget)
+            alone.append((points, bits(x), bits(value)))
+        stepped = [[] for _ in searches]
+        pending = {
+            i: self.one_value_per_turn(fun, x0.copy(), budget, stepped[i])
+            for i, (fun, x0, budget) in enumerate(searches)
+        }
+        results = {}
+        while pending:
+            for i, turns in list(pending.items()):
+                try:
+                    next(turns)
+                except StopIteration as end:
+                    results[i] = end.value
+                    del pending[i]
+        for i, (points, x, value) in enumerate(alone):
+            assert len(stepped[i]) == len(points) <= searches[i][2]
+            assert stepped[i] == points
+            assert (bits(results[i][0]), bits(results[i][1])) == (x, value)
+
     @pytest.mark.parametrize("p", [1, 3])
     def test_optimize_params_through_scipy(self, monkeypatch, p):
         g = random_graph(5, 0.6, seed=2)
@@ -734,6 +787,15 @@ class TestSampling:
         fresh = sample_solution_map(g, params, 500, seed=9)
         assert list(ours.counts.items()) == list(fresh.counts.items())
         assert ours.cuts.tolist() == fresh.cuts.tolist()
+
+    def test_distribution_of_another_shape_is_refused(self):
+        g = random_graph(4, 0.6, seed=1)
+        params = AnsatzParams(((0.7, 0.3),))
+        # unchecked, length 32 indexes past the cut table and length 8 draws only bit-0 = 0 rows
+        for shape in (32, 8, (16, 1)):
+            probs = np.full(shape, 1.0 / np.prod(shape))
+            with pytest.raises(ValueError, match="shape"):
+                sample_solution_map(g, params, 100, seed=1, probs=probs)
 
     def test_complement_symmetry_of_distribution(self, rng):
         # the symmetry the half-state simulator rests on, shown on full states
