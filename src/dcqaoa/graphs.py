@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -60,12 +61,21 @@ class Lowpoints(NamedTuple):
     parent: np.ndarray
 
 
+def _label(x) -> int:
+    """x as a plain int (numpy integers too); any other type is refused."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphValidationError(f"node label {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: sorted node tuple plus sorted (u < v) edge tuple.
 
     Use :meth:`from_edges` to build one from raw data; it canonicalizes and
-    validates. Direct construction assumes canonical fields.
+    validates, and keeps every label as a plain int in [0, 2^63) (numpy
+    integers too). Direct construction assumes canonical fields.
     """
 
     nodes: tuple[int, ...]
@@ -77,9 +87,10 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         nodes: Iterable[int] = (),
     ) -> "Graph":
-        node_set = set(nodes)
+        node_set = set(map(_label, nodes))
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            u, v = _label(u), _label(v)
             if u == v:
                 raise GraphValidationError(f"self-loop at node {u}")
             if u < 0 or v < 0:

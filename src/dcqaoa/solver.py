@@ -14,22 +14,23 @@ Leaves share optimized angles within one solve: the first leaf of each
 leaves with that key reuse its angles. Equal keys imply isomorphic leaves,
 whose QAOA expectations are equal, so sharing is exact.
 
-A leaf that runs the optimizer starts from the angles of the last leaf of
-its size that ran it in this solve, and skips its random restarts when
-that start comes close to the donor's expectation ratio (see
-``LeafCache.params``). That warm start is only a starting point, not
-sharing: the leaf optimizes its own expectation from there, and may end at
-other angles than a cold search would give it. Leaves without edges
-neither take nor give a warm start.
+A leaf that runs the optimizer starts from the angles and expectation
+ratio (expected cut over maximum cut) of the last leaf of its size that ran
+it in this solve, and skips its random restarts when it comes close to that
+ratio (see ``qaoa.optimize_params``). That warm start is only a starting
+point, not sharing: the leaf optimizes its own expectation from there, and
+may end at other angles than a cold search would give it. Leaves without
+edges neither take nor give a warm start.
 
-Leaves of one shape, equal ``(n, edge_positions)``, share more: the first
-such leaf's key, its ``cut_table`` and its output distribution. Equal edge
-positions give a bitwise-equal table, hence the same key and angles, hence
-a bitwise-equal distribution, so this sharing is exact too. A distribution
-is held only while a later leaf of its shape still waits to draw, which the
-pre-order leaf list, complete before the first leaf is solved, tells in
-advance. Every leaf still draws its own sample from its own seed, in
-pre-order.
+The leaves are solved in one pass over their shapes, equal ``(n,
+edge_positions)``, taken in the pre-order of each shape's first leaf, so
+the optimizer runs, and the warm starts they hand on, come in pre-order.
+The first leaf of a shape gives its key, its ``cut_table`` and one output
+distribution to every leaf of the shape. Equal edge positions give a
+bitwise-equal table, hence the same key and angles, hence a bitwise-equal
+distribution, so this sharing is exact too. Every leaf draws its own sample
+from its own seed on the first leaf's graph and takes the drawn rows as its
+own, since the positions are equal. One distribution is alive at a time.
 
 Maps carry each row's cut (see ``SolutionMap``), so re-ranking above the
 leaves sorts by cuts the leaves read off their tables and ``combine`` summed.
@@ -37,10 +38,7 @@ leaves sorts by cuts the leaves read off their tables and ``combine`` summed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import qaoa
 from .graphs import Graph, SolutionMap, refined_form
@@ -187,9 +185,7 @@ def dc_qaoa_traced(g: Graph, cfg: DcConfig) -> tuple[SolutionMap, PartitionNode]
         todo += [(child, part, derive_seed(seed, "child", part.nodes))
                  for child, part in zip(node.children[::-1], (g2, g1))]
 
-    leaves = [(sub, seed) for node, sub, seed in order if node.is_leaf]
-    cache = LeafCache([sub for sub, _ in leaves])
-    maps = [_top_rows(sub, _solve_leaf(sub, seed, cfg, cache), cfg) for sub, seed in leaves]
+    maps = _solve_leaves([(sub, seed) for node, sub, seed in order if node.is_leaf], cfg)
 
     done: list[tuple[Graph, SolutionMap]] = []
     while order:
@@ -214,63 +210,36 @@ def tree_nrl(g: Graph, tree: PartitionNode) -> float:
     return nrl(g, leaf_graphs)
 
 
-class LeafCache:
-    """What the leaves of one solve share (see the module docstring).
-
-    ``angles`` maps a ``refined_form`` key to its optimized angles, and
-    ``donors`` a qubit count to the warm start its next search takes (see
-    :meth:`params`). ``waiting`` counts, per shape, the leaves not yet
-    solved, and ``shapes`` holds (key, cut table, distribution) of each
-    shape that a later leaf still needs.
-    """
-
-    def __init__(self, leaves: list[Graph]):
-        self.angles: dict[tuple, AnsatzParams] = {}
-        self.donors: dict[int, tuple[AnsatzParams, float]] = {}
-        self.waiting = Counter(map(_shape, leaves))
-        self.shapes: dict[tuple, tuple] = {}
-
-    def params(self, g: Graph, key: tuple, seed: int, cfg: DcConfig) -> AnsatzParams:
-        """The angles of `key`, optimized on g, its first leaf, when not yet known.
-
-        The search warm-starts from ``donors[g.n]``, the angles and expectation
-        ratio (expected cut over maximum cut) of the last leaf of g's size
-        optimized in this solve, which g then replaces. A leaf without edges
-        neither takes nor gives a warm start.
-        """
-        if key not in self.angles:
-            max_cut = int(g.cut_table.max())
-            self.angles[key], value = qaoa.optimize_params(
-                g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget,
-                restarts=cfg.restarts, start=self.donors.get(g.n) if max_cut else None,
+def _solve_leaves(leaves: list[tuple[Graph, int]], cfg: DcConfig) -> list[SolutionMap]:
+    """QAOA on every (leaf, seed) pair, one shape at a time (see the module
+    docstring); returns each leaf's map cut to its top rows, in list order."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, (g, _) in enumerate(leaves):
+        shapes.setdefault((g.n, g.edge_positions.tobytes()), []).append(i)
+    angles: dict[tuple, AnsatzParams] = {}
+    donors: dict[int, tuple[AnsatzParams, float]] = {}
+    maps: list = [None] * len(leaves)
+    for members in shapes.values():
+        first, seed = leaves[members[0]]
+        key = refined_form(first)
+        if key not in angles:
+            max_cut = int(first.cut_table.max())
+            angles[key], value = qaoa.optimize_params(
+                first, cfg.p, seed=derive_seed(derive_seed(seed, "leaf", first.nodes), "optimize"),
+                budget=cfg.budget, restarts=cfg.restarts,
+                start=donors.get(first.n) if max_cut else None,
             )
             if max_cut:
-                self.donors[g.n] = (self.angles[key], value / max_cut)
-        return self.angles[key]
-
-
-def _shape(g: Graph) -> tuple[int, bytes]:
-    """(n, edge positions): leaves with equal shapes have equal cut tables."""
-    return g.n, np.asarray(g.edge_positions, dtype=np.int64).tobytes()
-
-
-def _solve_leaf(g: Graph, seed: int, cfg: DcConfig, cache: LeafCache) -> SolutionMap:
-    """QAOA on one leaf: optimize (or reuse an isomorphic leaf's angles), then sample."""
-    seed = derive_seed(seed, "leaf", g.nodes)
-    shape = _shape(g)
-    cache.waiting[shape] -= 1
-    if shape in cache.shapes:
-        key, table, probs = cache.shapes[shape]
-        # cached_property reads the instance dict first, so g reuses the table
-        g.__dict__["cut_table"] = table
-    else:
-        key, probs = refined_form(g), None
-    params = cache.params(g, key, seed, cfg)
-    if cache.waiting[shape]:
-        if probs is None:
-            probs = qaoa.output_distribution(g, params)
-        cache.shapes[shape] = (key, g.cut_table, probs)
-    else:
-        cache.shapes.pop(shape, None)
-    sample_seed = derive_seed(seed, "sample")
-    return qaoa.sample_solution_map(g, params, cfg.s, seed=sample_seed, probs=probs)
+                donors[first.n] = (angles[key], value / max_cut)
+        params = angles[key]
+        probs = qaoa.output_distribution(first, params)
+        for i in members:
+            g, seed = leaves[i]
+            drawn = qaoa.sample_solution_map(
+                first, params, cfg.s, probs=probs,
+                seed=derive_seed(derive_seed(seed, "leaf", g.nodes), "sample"),
+            )
+            # equal shapes have equal positions, so first's rows are g's rows
+            m = SolutionMap._from_known_rows(g.nodes, drawn.rows, drawn.row_counts, drawn.cuts)
+            maps[i] = _top_rows(g, m, cfg)
+    return maps

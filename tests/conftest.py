@@ -154,14 +154,26 @@ def scored_rerank_by_cut(g: Graph, m: SolutionMap) -> SolutionMap:
     return m.take(by_cut.tolist(), counts_desc)
 
 
-def unshared_solve_leaf(g: Graph, seed: int, cfg, cache) -> SolutionMap:
-    """Each leaf builds its own key and cut table and runs its own circuit,
-    sharing only angles by refined form and warm starts by size, both through
-    LeafCache.params: the oracle for solver._solve_leaf, which also shares
-    work between leaves of one shape."""
-    seed = derive_seed(seed, "leaf", g.nodes)
-    params = cache.params(g, refined_form(g), seed, cfg)
-    return qaoa.sample_solution_map(g, params, cfg.s, seed=derive_seed(seed, "sample"))
+def unshared_solve_leaves(leaves: list, cfg) -> list[SolutionMap]:
+    """Each leaf, in list order, builds its own key and cut table and runs its
+    own circuit, sharing only angles by refined form and warm starts by size
+    through its own dicts: the oracle for solver._solve_leaves, which also
+    shares work between leaves of one shape."""
+    angles, donors, maps = {}, {}, []
+    for g, seed in leaves:
+        seed = derive_seed(seed, "leaf", g.nodes)
+        key = refined_form(g)
+        if key not in angles:
+            max_cut = int(g.cut_table.max())
+            angles[key], value = qaoa.optimize_params(
+                g, cfg.p, seed=derive_seed(seed, "optimize"), budget=cfg.budget,
+                restarts=cfg.restarts, start=donors.get(g.n) if max_cut else None,
+            )
+            if max_cut:
+                donors[g.n] = (angles[key], value / max_cut)
+        m = qaoa.sample_solution_map(g, angles[key], cfg.s, seed=derive_seed(seed, "sample"))
+        maps.append(solver._top_rows(g, m, cfg))
+    return maps
 
 
 def gathered_cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -429,17 +441,21 @@ def rng():
 
 @pytest.fixture
 def exact_leaves(monkeypatch):
-    """solver._solve_leaf returns every optimum of its leaf, read off
-    Graph.cut_table in both orientations, each at count 1: solves then run
-    no QAOA, and every leaf map holds exactly the leaf's optima."""
+    """solver._solve_leaves gives each leaf every one of its optima, read off
+    Graph.cut_table in both orientations, each at count 1 before the top-t
+    cut: solves then run no QAOA, and every leaf map holds the leaf's optima."""
 
-    def solve_leaf(g, seed, cfg, angles):
-        table = g.cut_table
-        half = index_rows(np.flatnonzero(table == table.max()), g.n)
-        rows = np.concatenate((half, half ^ 1))
-        return SolutionMap.from_rows(g.nodes, rows, [1] * len(rows))
+    def solve_leaves(leaves, cfg):
+        maps = []
+        for g, _ in leaves:
+            table = g.cut_table
+            half = index_rows(np.flatnonzero(table == table.max()), g.n)
+            rows = np.concatenate((half, half ^ 1))
+            m = SolutionMap.from_rows(g.nodes, rows, [1] * len(rows))
+            maps.append(solver._top_rows(g, m, cfg))
+        return maps
 
-    monkeypatch.setattr(solver, "_solve_leaf", solve_leaf)
+    monkeypatch.setattr(solver, "_solve_leaves", solve_leaves)
 
 
 def relabel(g: Graph, mapping: dict) -> Graph:

@@ -1,4 +1,5 @@
 
+import json
 from itertools import permutations
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcqaoa import (
+    DcConfig,
     EdgeListParseError,
     GenerationError,
     Graph,
@@ -17,6 +19,7 @@ from dcqaoa import (
     best_sampled_cut,
     brute_force_maxcut,
     chain_maxcut,
+    dc_qaoa_traced,
     expectation_value,
     random_chain_graph,
     random_graph,
@@ -33,7 +36,12 @@ from dcqaoa.graphs import (
     row_strings,
     serialize_edge_list,
 )
-from dcqaoa.reports import approximation_ratio, reference_optimum
+from dcqaoa.reports import (
+    approximation_ratio,
+    build_run_report,
+    dumps_report,
+    reference_optimum,
+)
 import dcqaoa.graphs as graphs_module
 from conftest import (
     block_set,
@@ -629,6 +637,26 @@ def test_graph_factory_validation():
         Graph.from_edges([(-1, 2)])
     with pytest.raises(GraphValidationError):
         Graph.from_edges(nodes=[-1])
+
+
+def test_numpy_integer_labels_are_plain_ints():
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    g = Graph.from_edges(np.array(edges), nodes=np.arange(5))
+    assert g == Graph.from_edges(edges, nodes=range(5))
+    assert all(type(v) is int for v in g.nodes)
+    cfg = DcConfig(k=3, budget=5, restarts=1)
+    solution, tree = dc_qaoa_traced(g, cfg)
+    report = json.loads(dumps_report(build_run_report(g, cfg, solution, tree, None)))
+    assert report["partition_tree"][0]["nodes"] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "edges, nodes",
+    [([(0.0, 1.0)], ()), ([(0, 1)], [2.0]), ([("0", "1")], ()), ([(0, 1)], ["a"])],
+)
+def test_labels_that_are_not_integers_rejected(edges, nodes):
+    with pytest.raises(GraphValidationError, match="is not an integer"):
+        Graph.from_edges(edges, nodes=nodes)
 
 
 def test_labels_beyond_int64_rejected():

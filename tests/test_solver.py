@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from conftest import (
     scored_rerank_by_cut,
     toy_graph,
     triangle,
-    unshared_solve_leaf,
+    unshared_solve_leaves,
 )
 
 
@@ -305,6 +307,7 @@ class TestAngleCache:
         ],
     )
     def test_optimizer_runs_once_per_leaf_class(self, monkeypatch, g, k):
+        leaves = recorded_leaves(monkeypatch)
         optimized, sampled = [], []
         real_optimize, real_sample = qaoa.optimize_params, qaoa.sample_solution_map
 
@@ -322,21 +325,23 @@ class TestAngleCache:
         cfg = DcConfig(k=k, s=1000, t=20, seed=6, budget=60, restarts=2)
         _, tree = dc_qaoa_traced(g, cfg)
 
-        # leaves are solved in the tree's pre-order
-        assert [leaf.nodes for leaf, _ in sampled] == [leaf.nodes for leaf in tree.leaves()]
+        # the leaves are the tree's, in pre-order, and each draws once
+        assert [leaf.nodes for leaf in leaves] == [leaf.nodes for leaf in tree.leaves()]
+        assert len(sampled) == len(leaves)
         # leaves given the same angles object are isomorphic
         for i, (leaf, params) in enumerate(sampled):
             for other, other_params in sampled[:i]:
                 assert params is not other_params or isomorphic(leaf, other)
-        # first leaf of each class, in solve order
+        # one optimizer run per class, on its first leaf in pre-order, whose
+        # angles every leaf of the class draws with
         firsts: list = []
+        for leaf in leaves:
+            if not any(isomorphic(leaf, f) for f in firsts):
+                firsts.append(leaf)
+        assert [run for run, _ in optimized] == firsts
         for leaf, params in sampled:
-            rep = next((f for f in firsts if isomorphic(leaf, f[0])), None)
-            if rep is None:
-                firsts.append((leaf, params))
-            else:
-                assert params == rep[1]
-        assert optimized == firsts
+            rep = next(i for i, f in enumerate(firsts) if isomorphic(leaf, f))
+            assert params is optimized[rep][1]
 
         # a second solve starts from an empty cache
         dc_qaoa(g, cfg)
@@ -345,20 +350,33 @@ class TestAngleCache:
     @pytest.mark.parametrize("n", [100, 300, 768])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_refined_forms_group_chain_leaves_as_the_oracle(self, monkeypatch, n, seed):
-        leaves = []
-        real_sample = qaoa.sample_solution_map
-
-        def recording_sample(g, *args, **kwargs):
-            leaves.append(g)
-            return real_sample(g, *args, **kwargs)
-
-        monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
+        leaves = recorded_leaves(monkeypatch)
         dc_qaoa_traced(random_chain_graph(n, seed), DcConfig(k=8, seed=1, budget=20, restarts=1))
         assert group_by(leaves, refined_form) == group_by(leaves, brute_force_form)
 
 
 def leaf_shape(g: Graph) -> tuple:
     return g.n, tuple(map(tuple, g.edge_positions.tolist()))
+
+
+def recorded_leaves(monkeypatch) -> list[Graph]:
+    """The leaves each later solve hands to solver._solve_leaves, in pre-order."""
+    leaves = []
+    real = solver._solve_leaves
+
+    def recording(pairs, cfg):
+        leaves.extend(g for g, _ in pairs)
+        return real(pairs, cfg)
+
+    monkeypatch.setattr(solver, "_solve_leaves", recording)
+    return leaves
+
+
+def first_of_each_shape(leaves: list[Graph]) -> list[Graph]:
+    firsts: dict = {}
+    for leaf in leaves:
+        firsts.setdefault(leaf_shape(leaf), leaf)
+    return list(firsts.values())
 
 
 def checked_solve(g: Graph, cfg: DcConfig):
@@ -386,7 +404,7 @@ def checked_solve(g: Graph, cfg: DcConfig):
 
 def unshared_solve(g: Graph, cfg: DcConfig):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_solve_leaf", unshared_solve_leaf)
+        mp.setattr(solver, "_solve_leaves", unshared_solve_leaves)
         try:
             return dc_qaoa_traced(g, cfg)
         except ConnectivityExceededError as exc:
@@ -449,48 +467,58 @@ class TestSharedLeafWork:
         assume(any(len(node.separator) >= 2 for node in tree.preorder()))
 
     def test_distribution_computed_once_per_leaf_shape(self, monkeypatch):
-        computed, sampled, held = [], [], []
+        leaves = recorded_leaves(monkeypatch)
+        computed, sampled = [], []
         real_distribution, real_sample = qaoa.output_distribution, qaoa.sample_solution_map
-        real_leaf = solver._solve_leaf
 
-        def counting_distribution(g, params):
-            computed.append(leaf_shape(g))
-            return real_distribution(g, params)
+        def recording_distribution(g, params):
+            computed.append((g, real_distribution(g, params)))
+            return computed[-1][1]
 
-        def recording_sample(g, *args, **kwargs):
+        def recording_sample(g, *args, probs, **kwargs):
+            # each draw reads the distribution computed last, on that graph
+            assert g is computed[-1][0] and probs is computed[-1][1]
             sampled.append(g)
-            return real_sample(g, *args, **kwargs)
+            return real_sample(g, *args, probs=probs, **kwargs)
 
-        def watched_leaf(g, seed, cfg, cache):
-            out = real_leaf(g, seed, cfg, cache)
-            # a shape is held only while a later leaf of it waits
-            assert all(cache.waiting[shape] > 0 for shape in cache.shapes)
-            held.append(len(cache.shapes))
-            return out
-
-        monkeypatch.setattr(qaoa, "output_distribution", counting_distribution)
+        monkeypatch.setattr(qaoa, "output_distribution", recording_distribution)
         monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
-        monkeypatch.setattr(solver, "_solve_leaf", watched_leaf)
         cfg = DcConfig(k=8, seed=1, budget=20, restarts=1)
-        _, tree = dc_qaoa_traced(random_chain_graph(100, 2), cfg)
+        dc_qaoa_traced(random_chain_graph(100, 2), cfg)
 
-        assert [leaf.nodes for leaf in sampled] == [leaf.nodes for leaf in tree.leaves()]
-        shapes = [leaf_shape(leaf) for leaf in sampled]
+        shapes = [leaf_shape(leaf) for leaf in leaves]
         assert len(set(shapes)) < len(shapes)
-        assert sorted(computed) == sorted(set(shapes))
-        assert held[-1] == 0
+        # one distribution per shape, on its first leaf, in pre-order of first leaves
+        firsts = first_of_each_shape(leaves)
+        assert [g for g, _ in computed] == firsts
+        # one draw per leaf, on the first leaf of its shape
+        assert Counter(map(leaf_shape, sampled)) == Counter(shapes)
+
+    def test_one_distribution_alive_at_a_time(self, monkeypatch):
+        alive, most = [], []
+        real_distribution, real_sample = qaoa.output_distribution, qaoa.sample_solution_map
+
+        def tracked_distribution(g, params):
+            probs = real_distribution(g, params)
+            alive.append(weakref.ref(probs))
+            return probs
+
+        def counting_sample(*args, **kwargs):
+            most.append(sum(ref() is not None for ref in alive))
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "output_distribution", tracked_distribution)
+        monkeypatch.setattr(qaoa, "sample_solution_map", counting_sample)
+        dc_qaoa(random_chain_graph(768, 1), DcConfig(k=8, seed=1, budget=20, restarts=1))
+        assert len(most) > len(alive) > 1
+        assert max(most) == 1
 
     def test_leaves_of_one_shape_share_one_cut_table(self, monkeypatch):
-        tables = {}
-        real_sample = qaoa.sample_solution_map
-
-        def recording_sample(g, *args, **kwargs):
-            tables.setdefault(leaf_shape(g), set()).add(id(g.cut_table))
-            return real_sample(g, *args, **kwargs)
-
-        monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
+        leaves = recorded_leaves(monkeypatch)
         dc_qaoa(random_chain_graph(100, 2), DcConfig(k=8, seed=1, budget=20, restarts=1))
-        assert all(len(ids) == 1 for ids in tables.values())
+        # cached_property keeps a built table in the instance dict
+        built = [leaf for leaf in leaves if "cut_table" in vars(leaf)]
+        assert built == first_of_each_shape(leaves) != leaves
 
 
 def ring_chain(blocks: int, size: int, seed: int, isolated: int = 0) -> Graph:
@@ -506,6 +534,16 @@ def ring_chain(blocks: int, size: int, seed: int, isolated: int = 0) -> Graph:
                   if rng.random() < 0.4}
         joint = ring[-1]
     return Graph.from_edges(sorted(edges), nodes=range(label + isolated))
+
+
+def side_by_side(parts: list[Graph]) -> Graph:
+    """The disjoint union of `parts`, each relabelled past the nodes before it."""
+    edges, nodes = [], []
+    for part in parts:
+        mapping = {v: len(nodes) + i for i, v in enumerate(part.nodes)}
+        edges += relabel(part, mapping).edges
+        nodes += mapping.values()
+    return Graph.from_edges(edges, nodes=nodes)
 
 
 class TestWarmStartDonors:
@@ -544,11 +582,14 @@ class TestWarmStartDonors:
     def test_leaves_without_edges_neither_take_nor_give(self, monkeypatch):
         runs = self.recorded_runs(monkeypatch)
         first, second = random_graph(6, 0.6, seed=1), random_graph(6, 0.6, seed=2)
-        empty = Graph.from_edges([], nodes=range(6))
-        cache = solver.LeafCache([])
-        for g in (first, empty, second):
-            cache.params(g, refined_form(g), 1, DcConfig(p=1, budget=10, restarts=2))
-        assert [g for g, _, _ in runs] == [first, empty, second]
+        lone = Graph.from_edges([], nodes=[0])
+        # 24 components: the first 12 split into 6 copies of first and 6 lone
+        # nodes, one edgeless 6-node leaf; copies reuse their original's angles
+        dc_qaoa(side_by_side([first] * 6 + [lone] * 6 + [second] * 12),
+                DcConfig(k=6, p=1, budget=10, restarts=2))
+        empty = Graph.from_edges([], nodes=range(36, 42))
+        second_copy = relabel(second, {v: 42 + v for v in second.nodes})
+        assert [g for g, _, _ in runs] == [first, empty, second_copy]
         params, value = runs[0][2]
         assert [start for _, start, _ in runs] == [
             None, None, (params, value / int(first.cut_table.max()))
@@ -580,7 +621,9 @@ class TestMapsFromMaps:
         monkeypatch.setattr(SolutionMap, "from_rows", classmethod(counting))
         cfg = DcConfig(k=8, seed=1, budget=20, restarts=1)
         _, tree = dc_qaoa_traced(random_chain_graph(100, 2), cfg)
-        assert scanned == [leaf.nodes for leaf in tree.leaves()]
+        # one scan per leaf, each over a leaf's nodes
+        assert len(scanned) == len(tree.leaves())
+        assert set(scanned) <= {leaf.nodes for leaf in tree.leaves()}
 
 
 class TestDcConfig:
