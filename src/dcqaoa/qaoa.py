@@ -6,17 +6,17 @@ smallest node) is the most significant bit. The cost layer is one diagonal
 phase multiply by ``Graph.cut_table``, which equals the per-edge two-qubit
 phase circuit up to global phase. A cut value is an integer in 0..|E|, so
 the layer evaluates one phase per distinct cut value and gathers it by the
-table. The mixer is one whole-array step per qubit: three ufunc calls that
-write into views planned once per circuit. On a half of 64 amplitudes or
-more, the last three qubits, whose amplitude pairs lie fewer than 8 apart,
-run on a transposed copy of the state, where they pair whole rows.
+table. The mixer runs each qubit's rotation, factored as f*(I + t*X), as
+two array passes into views planned once per circuit, then multiplies by
+f^n once per layer (see ``apply_mixer_layer``). On a half of 64 amplitudes
+or more, the last three qubits, whose pairs lie fewer than 8 apart, run on
+a transposed copy of the state, where they pair whole rows.
 
 Workspace: ``optimize_params`` and ``output_distribution`` build one
 ``_Workspace`` per circuit. It checks the cut table once and holds every
-array a run writes: two ping-pong state buffers, a scratch buffer and the
-planned views. A run therefore allocates no state-sized array, and each
-kernel does the same floating-point operations, in the same order, as one
-that allocates its results afresh.
+array a run writes: two ping-pong state buffers and the planned views, and
+no scratch buffer. A run allocates no state-sized complex array, and each
+kernel does the floating-point operations of one that allocates afresh.
 
 Half layout: a cut is unchanged when every bit flips, and both |+>^n and
 the mixer commute with X^n, so every state of the circuit is spin-flip
@@ -24,8 +24,8 @@ symmetric, psi(b) = psi(2^n - 1 - b). The simulator therefore carries only
 the bit-0 = 0 half, the first 2^(n-1) amplitudes; the full state is
 ``concat(half, half[::-1])``. Each amplitude of the half is computed by
 the same floating-point operations as in a full-state run, so the rebuilt
-state is bit for bit the full one. The readout mirrors the squared
-magnitudes, and the cut table of the same half, to full length.
+state is bit for bit the full one. The expected cut reads the half alone;
+the sampler mirrors the squared magnitudes to full length.
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ class _Workspace:
     """The arrays of one leaf's circuit, built once and reused by every run.
 
     It holds the checked ``intp`` cut table and ``cut_range``, two
-    ping-pong state buffers ``a`` and ``b``, one scratch buffer, and every
-    mixer step's views for a layer that starts in either buffer. Each
-    kernel writes into the buffer its input is not in, so a state the
-    kernels return stays valid until the next kernel call on the same
-    workspace.
+    ping-pong state buffers ``a`` and ``b``, and every mixer step's views
+    for a layer that starts in either buffer. Each kernel writes into the
+    buffer its input is not in, so a state the kernels return stays valid
+    until the next kernel call on the same workspace.
     """
 
     def __init__(self, n: int, table: np.ndarray):
@@ -106,42 +105,41 @@ class _Workspace:
             raise ValueError("cut table holds a negative entry")
         self.table = table.astype(np.intp)  # numpy gathers by intp indices fastest
         self.cut_range = np.arange(table.max() + 1, dtype=np.float64)
-        self.a, self.b, self.scratch = np.empty((3, len(table)), dtype=np.complex128)
+        self.a, self.b = np.empty((2, len(table)), dtype=np.complex128)
         self.from_a = self._mixer_steps(self.a, self.b)
         self.from_b = self._mixer_steps(self.b, self.a)
 
     def _mixer_steps(self, src: np.ndarray, dst: np.ndarray):
         """The steps of a mixer layer that starts in `src`, and the buffer
-        it ends in. A qubit step is (source, reversed source, destination,
-        scratch) views, and each step moves the state to the other buffer.
+        it ends in. A qubit step is (source, partner, destination) views,
+        and each step moves the state to the other buffer.
 
         Qubit 0 pairs the half with its reverse and qubit q >= 1 pairs the
         halves of axis 1 of a (2^(q-1), 2, rest) view. At 64 amplitudes or
         more, the last three qubits, whose pairs lie fewer than 8 apart, run
         on the (8, rest) transpose of the state, where the same qubits pair
-        whole rows of it; a step with no reversed source is a transpose.
+        whole rows of it; a step with no partner is a transpose.
         """
         steps = []
 
-        def step(source, reversed_source, destination, scratch):
+        def step(source, partner, destination):
             nonlocal src, dst
-            steps.append((source, reversed_source, destination, scratch))
+            steps.append((source, partner, destination))
             src, dst = dst, src
 
         def pair_step(shape):
             view = src.reshape(shape)
-            step(view, view[:, ::-1], dst.reshape(shape), self.scratch.reshape(shape))
+            step(view, view[:, ::-1], dst.reshape(shape))
 
-        n = _qubits_of(src)
         tail = 3 if len(src) >= 64 else 0
-        step(src, src[::-1], dst, self.scratch)
-        for q in range(1, n - tail):
+        step(src, src[::-1], dst)
+        for q in range(1, _qubits_of(src) - tail):
             pair_step((1 << (q - 1), 2, -1))
         if tail:
-            step(src.reshape(-1, 8).T, None, dst.reshape(8, -1), None)
+            step(src.reshape(-1, 8).T, None, dst.reshape(8, -1))
             for j in range(tail):
                 pair_step((1 << j, 2, -1))
-            step(src.reshape(8, -1).T, None, dst.reshape(-1, 8), None)
+            step(src.reshape(8, -1).T, None, dst.reshape(-1, 8))
         return steps, src
 
 
@@ -173,14 +171,15 @@ def apply_mixer_layer(
 ) -> np.ndarray:
     """R_X(2*beta) on every qubit of a spin-flip-symmetric state, as its half.
 
-    For each qubit, every amplitude becomes cos(beta) times itself plus
-    -i*sin(beta) times its partner across that qubit. For qubit 0 the
-    partner of half[j] lies in the other half; by symmetry it equals
-    half[2^(n-1)-1-j], so the step pairs the half with its reverse. Each
-    qubit step is three whole-array ufunc calls into views that ``work``
-    planned when it was built (see ``_Workspace._mixer_steps``); without
-    ``work`` the call builds one. The result is written into ``work``, not
-    into `half`.
+    R_X(2*beta) = c*I + s*X, with c = cos(beta) and s = -i*sin(beta), is
+    c*(I + t*X) with t = s/c, or s*X*(I + t*X) with t = c/s; the call takes
+    the form with |t| <= 1. The X factors multiply to X^n, which fixes a
+    spin-flip-symmetric state, so each qubit step is two array passes, t
+    times the partner amplitude plus the amplitude, and the layer ends with
+    one multiply by f^n (f = c or s); the amplitudes grow by at most 2^n
+    before it. The steps write into views that ``work`` planned (see
+    ``_Workspace._mixer_steps``); without it the call builds one. The
+    result is written into ``work``, not into `half`.
     """
     if work is None:
         # the workspace of an edgeless leaf: a mixer reads no cut table
@@ -191,16 +190,15 @@ def apply_mixer_layer(
         if half is not work.a:
             np.copyto(work.a, half)
         steps, out = work.from_a
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    for src, rev, dst, scratch in steps:
-        if rev is None:
+    c, s = math.cos(beta), complex(0.0, -math.sin(beta))
+    t, f = (s / c, c) if abs(c) >= abs(s) else (c / s, s)
+    for src, partner, dst in steps:
+        if partner is None:
             np.copyto(dst, src)
-        else:  # dst = c * src + s * rev, in this order
-            np.multiply(c, src, out=dst)
-            np.multiply(s, rev, out=scratch)
-            np.add(dst, scratch, out=dst)
-    return out
+        else:  # dst = t * partner + src, in this order
+            np.multiply(t, partner, out=dst)
+            np.add(dst, src, out=dst)
+    return np.multiply(out, f ** len(out).bit_length(), out=out)
 
 
 def _evolve(
@@ -227,11 +225,12 @@ def _probabilities(half: np.ndarray) -> np.ndarray:
     return np.concatenate((probs, probs[::-1]))
 
 
-def _expectation_of(half: np.ndarray, weights: np.ndarray) -> float:
-    """Expected cut of a half state; `weights` is the cut table mirrored to
-    full length as ``float64``, which ``optimize_params`` builds once."""
-    probs = _probabilities(half)
-    return float(probs @ weights / probs.sum())
+def _expectation_of(half: np.ndarray, table: np.ndarray) -> float:
+    """Expected cut of a half state over its ``float64`` cut table; the
+    mirrored half would add the same terms to numerator and denominator."""
+    probs = half.real ** 2
+    probs += half.imag ** 2
+    return float(probs @ table / probs.sum())
 
 
 def _initial_simplex(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +349,7 @@ def optimize_params(
     half0 = _initial_half(g.n)  # checks the qubit cap before the table is built
     table = g.cut_table
     work = _Workspace(g.n, table)
-    weights = np.concatenate((table, table[::-1])).astype(np.float64)
+    weights = table.astype(np.float64)
 
     def neg_expectation(x: np.ndarray) -> float:
         layers = [(x[2 * i], x[2 * i + 1]) for i in range(p)]
@@ -378,8 +377,8 @@ def optimize_params(
 
 def output_distribution(g: Graph, params: AnsatzParams) -> np.ndarray:
     """Normalized measurement probabilities of all 2^n basis states of the final state."""
-    n = _check_qubits(g.n)
-    probs = _probabilities(_evolve(_initial_half(n), g.cut_table, params.layers))
+    # _initial_half checks the qubit cap before the table is built
+    probs = _probabilities(_evolve(_initial_half(g.n), g.cut_table, params.layers))
     probs /= probs.sum()
     return probs
 

@@ -225,14 +225,13 @@ def cold_draws(p: int, seed: int, restarts: int) -> list[np.ndarray]:
 
 
 def cold_optimize_params(g: Graph, p: int, seed: int, budget: int, restarts: int):
-    """optimize_params before warm starts, mirroring the cut table on every
+    """optimize_params before warm starts, converting the cut table on every
     evaluation: the oracle for qaoa.optimize_params without `start`."""
     half0, table = qaoa._initial_half(g.n), g.cut_table
 
     def neg_expectation(x):
         half = qaoa._evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)])
-        probs = qaoa._probabilities(half)
-        return -float(probs @ np.concatenate((table, table[::-1])) / probs.sum())
+        return -half_expectation(half, table)
 
     best_x, best_val = None, -math.inf
     for x0 in cold_draws(p, seed, restarts):
@@ -298,7 +297,15 @@ def final_state(g: Graph, params) -> np.ndarray:
 def qaoa_expectation(g: Graph, params) -> float:
     """Exact expected cut size of the circuit's output distribution."""
     half = _evolve(_initial_half(g.n), g.cut_table, params.layers)
-    return _expectation_of(half, mirrored(g.cut_table).astype(np.float64))
+    return _expectation_of(half, g.cut_table.astype(np.float64))
+
+
+def half_expectation(half: np.ndarray, table: np.ndarray) -> float:
+    """Expected cut of a half state over its integer cut table, each squared
+    magnitude read as re^2 + im^2: the bit-for-bit oracle for
+    qaoa._expectation_of, whose float64 table is built once per leaf."""
+    probs = half.real ** 2 + half.imag ** 2
+    return float(probs @ table.astype(np.float64) / probs.sum())
 
 
 def build_initial_state(n: int) -> np.ndarray:
@@ -315,16 +322,28 @@ def full_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
     return np.multiply(state, phases[table])
 
 
+def mixer_factors(beta: float) -> tuple[complex, complex | float, bool]:
+    """(t, f, flip) with R_X(2*beta) = f*(I + t*X), or f*X*(I + t*X) when
+    flip is set, and |t| <= 1: the form qaoa.apply_mixer_layer takes."""
+    c, s = math.cos(beta), complex(0.0, -math.sin(beta))
+    if abs(c) >= abs(s):
+        return s / c, c, False
+    return c / s, s, True
+
+
 def full_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """Full-state mixer: one whole-array step per qubit over all 2^n amplitudes."""
+    """Full-state mixer: one whole-array I + t*X step per qubit over all 2^n
+    amplitudes, then X^n by reversing the array when the form carries it,
+    so it holds on any state, then the scale f^n."""
     n = (len(state) - 1).bit_length()
+    t, f, flip = mixer_factors(beta)
     out = state
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
     for q in range(n):
         view = out.reshape(1 << q, 2, -1)
-        out = (c * view + s * view[:, ::-1, :]).reshape(-1)
-    return out
+        out = (t * view[:, ::-1, :] + view).reshape(-1)
+    if flip:
+        out = out[::-1]
+    return out * f ** n
 
 
 def full_evolve(state: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
@@ -336,7 +355,8 @@ def full_evolve(state: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
 
 
 def full_expectation(state: np.ndarray, table: np.ndarray) -> float:
-    """Expected cut of a full state: the oracle for qaoa._expectation_of."""
+    """Expected cut of a full state: the physics oracle for
+    qaoa._expectation_of, which reads the bit-0 = 0 half alone."""
     probs = np.abs(state) ** 2
     return float(probs @ table / probs.sum())
 
@@ -345,11 +365,15 @@ def full_expectation(state: np.ndarray, table: np.ndarray) -> float:
 def full_state_qaoa():
     """Within the block, qaoa's optimizer and sampler run on full states
     through the oracles, as the simulator did before the half-state kernels;
-    the evolution mirrors the half cut table it is given."""
+    the evolution mirrors the half cut table it is given, and the objective
+    reads the bit-0 = 0 half of the full state."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qaoa, "_initial_half", build_initial_state)
         mp.setattr(
             qaoa, "_evolve", lambda state, t, layers, work=None: full_evolve(state, mirrored(t), layers)
+        )
+        mp.setattr(
+            qaoa, "_expectation_of", lambda state, t: half_expectation(state[: len(t)], t)
         )
         mp.setattr(qaoa, "_probabilities", lambda state: np.abs(state) ** 2)
         yield
@@ -362,19 +386,21 @@ def float_cost_phases(state: np.ndarray, table: np.ndarray, gamma: float) -> np.
 
 
 def loop_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """Half-array updates of a copy, qubit by qubit: the oracle for
+    """Half-array I + t*X updates of a copy, qubit by qubit, then X^n by
+    reversal when the form carries it, then f^n: the oracle for
     qaoa.apply_mixer_layer."""
     n = (len(state) - 1).bit_length()
     out = state.copy()
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
+    t, f, flip = mixer_factors(beta)
     for q in range(n):
         view = out.reshape(1 << q, 2, -1)
         top = view[:, 0, :].copy()
         bottom = view[:, 1, :]
-        view[:, 0, :] = c * top + s * bottom
-        view[:, 1, :] = c * bottom + s * top
-    return out
+        view[:, 0, :] = t * bottom + top
+        view[:, 1, :] = t * top + bottom
+    if flip:
+        out = out[::-1]
+    return out * f ** n
 
 
 def per_call_cost_phases(
@@ -388,7 +414,21 @@ def per_call_cost_phases(
 
 def per_call_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
     """The half-state mixer allocating new arrays at every qubit step: the
-    oracle for qaoa.apply_mixer_layer, whose steps write into planned views."""
+    oracle for qaoa.apply_mixer_layer, whose steps write into planned views.
+    X^n fixes the symmetric state the half stands for, so no flip is applied."""
+    n = len(half).bit_length()
+    t, f, _ = mixer_factors(beta)
+    out = t * half[::-1] + half
+    for q in range(1, n):
+        view = out.reshape(1 << (q - 1), 2, -1)
+        out = (t * view[:, ::-1, :] + view).reshape(-1)
+    return out * f ** n
+
+
+def textbook_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
+    """cos(beta) times each amplitude plus -i*sin(beta) times its partner,
+    qubit by qubit, on a half state: the physics oracle for
+    qaoa.apply_mixer_layer, which factors each rotation's scale out."""
     n = len(half).bit_length()
     c = math.cos(beta)
     s = -1j * math.sin(beta)

@@ -40,6 +40,7 @@ from conftest import (
     full_expectation,
     full_state_qaoa,
     graphs,
+    half_expectation,
     k2,
     loop_mixer_layer,
     mirrored,
@@ -53,6 +54,7 @@ from conftest import (
     random_half,
     relabelings,
     scipy_nelder_mead,
+    textbook_mixer_layer,
     toy_graph,
     triangle,
 )
@@ -250,6 +252,70 @@ class TestMixerLayer:
         assert same_bits(half, before)
 
 
+def relative_error(ours: np.ndarray, expected: np.ndarray) -> float:
+    """Largest amplitude error relative to the largest expected amplitude."""
+    return float(np.max(np.abs(ours - expected)) / np.max(np.abs(expected)))
+
+
+def boundary_examples(n: int):
+    """@example decorators at the angles where the factored mixer switches
+    form (|cos| = |sin|), at no rotation, and at the global flips."""
+    quarter = math.pi / 4
+    betas = [0.0, quarter, -quarter, 2 * quarter, -2 * quarter, 3 * quarter, math.pi]
+
+    def decorate(test):
+        for beta in betas:
+            test = example(n=n, beta=beta, seed=n)(test)
+        return test
+
+    return decorate
+
+
+class TestMixerPhysics:
+    """The factored mixer against R_X(2*beta) written out as cos and sin, at a
+    stated tolerance: both forms of the rotation and the switch between them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16), st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 2**32 - 1))
+    @boundary_examples(16)
+    @boundary_examples(5)
+    def test_matches_the_textbook_step(self, n, beta, seed):
+        half = random_half(n, seed)
+        assert relative_error(apply_mixer_layer(half, beta), textbook_mixer_layer(half, beta)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 2**32 - 1))
+    @boundary_examples(8)
+    @boundary_examples(3)
+    def test_matches_the_dense_kronecker_product(self, n, beta, seed):
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        rotation = np.ones((1, 1))
+        for _ in range(n):
+            rotation = np.kron(rotation, np.array([[c, s], [s, c]]))
+        half = random_half(n, seed)
+        expected = rotation @ mirrored(half)
+        assert relative_error(mirrored(apply_mixer_layer(half, beta)), expected) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_nodes=12), st.integers(0, 2**32 - 1))
+    def test_expectation_matches_the_full_state(self, g, seed):
+        half = random_half(g.n, seed)
+        ours = _expectation_of(half, g.cut_table.astype(np.float64))
+        expected = full_expectation(mirrored(half), cut_value_table(g))
+        assert ours == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, math.pi / 2 - 1e-9])
+    def test_norm_at_the_qubit_cap(self, beta):
+        # by pi/4, |t| is near 1 and the amplitudes grow by up to 2^20 before
+        # the scale; by pi/2 the flipped form runs
+        half = random_half(qaoa.QUBIT_CAP, 20)
+        half /= np.linalg.norm(half) * math.sqrt(2)
+        work = qaoa._Workspace(qaoa.QUBIT_CAP, np.zeros(len(half), dtype=np.intp))
+        for _ in range(3):
+            half = apply_mixer_layer(half, beta, work)
+            assert abs(np.linalg.norm(half) * math.sqrt(2) - 1.0) <= 1e-12
+
+
 angles = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi))
 
 
@@ -268,9 +334,9 @@ class TestEvolution:
             expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
         ours = _evolve(half, g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        weights = mirrored(g.cut_table).astype(np.float64)
-        assert _expectation_of(ours, weights) == full_expectation(
-            expected, table.astype(np.float64)
+        weights = g.cut_table.astype(np.float64)
+        assert _expectation_of(ours, weights) == half_expectation(
+            expected[: len(ours)], g.cut_table
         )
 
     @all_qubits
@@ -282,8 +348,10 @@ class TestEvolution:
         expected = full_evolve(build_initial_state(n), table, layers)
         ours = _evolve(_initial_half(n), g.cut_table, layers)
         assert same_bits(mirrored(ours), expected)
-        weights = mirrored(g.cut_table).astype(np.float64)
-        assert _expectation_of(ours, weights) == full_expectation(expected, table)
+        weights = g.cut_table.astype(np.float64)
+        assert _expectation_of(ours, weights) == half_expectation(
+            expected[: len(ours)], g.cut_table
+        )
 
 
 class TestWorkspace:
@@ -495,7 +563,7 @@ def counted(fun):
 def leaf_objective(g, p):
     """The negated expected cut that ``optimize_params`` minimizes."""
     half0, table = _initial_half(g.n), g.cut_table
-    weights = mirrored(table).astype(np.float64)
+    weights = table.astype(np.float64)
     return lambda x: -_expectation_of(
         _evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), weights
     )
@@ -893,7 +961,8 @@ class TestAgainstFullStateRun:
         params = ours[0]
         table = cut_value_table(g)
         final = full_evolve(build_initial_state(g.n), table, params.layers)
-        assert ours[1] == full_expectation(final, table)
+        assert ours[1] == half_expectation(final[: len(g.cut_table)], g.cut_table)
+        assert ours[1] == pytest.approx(full_expectation(final, table), rel=1e-12, abs=1e-12)
         ours = sample_solution_map(g, params, shots=5000, seed=4)
         with full_state_qaoa():
             expected = sample_solution_map(g, params, shots=5000, seed=4)
