@@ -1,11 +1,9 @@
 """Classical comparison solvers for approximation-ratio benchmarking.
 
-random_search draws the same coins as ``rng.integers(0, 2, dtype=np.uint8)``.
-That bounded draw spends one byte of the generator's raw 64-bit stream per
-coin, least significant byte first, and returns the byte's top bit (Lemire's
-method with range 2), so a block takes its coins straight from
-``bit_generator.random_raw``, packs them 8 rows per byte into node columns and
-scores them with ``graphs.column_cuts``, the scorer behind ``cut_values``.
+random_search takes its coins as the bits of the generator's raw 64-bit words:
+a block of r rows draws r/64 words per node, whose little-endian bytes are the
+node's packed column (row 64w + k in bit k of word w), the layout
+``graphs.column_cuts``, the scorer behind ``cut_values``, reads.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import numpy as np
 from .graphs import Graph, column_cuts, cut_values
 from .seeds import derive_seed
 
-# random_search rows per block; a multiple of 8, so every block but the last
-# spends whole 64-bit words of the stream and packs into whole bytes per node
+# random_search rows per block; a multiple of 64, so each node's coins in a
+# block are whole 64-bit words of the stream
 _SEARCH_BLOCK_ROWS = 4096
 
 
@@ -31,54 +29,31 @@ class BaselineResult:
     elapsed: float
 
 
-def _coin_bytes(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
-    """The next `count` bytes of the raw stream, in the order the bounded uint8
-    draw spends them; count is a multiple of 8, so no byte is skipped."""
-    raw = bitgen.random_raw(count // 8).astype("<u8", copy=False)
-    return raw.view(np.uint8)
-
-
-def _pack_rows(coins: np.ndarray) -> np.ndarray:
-    """(n, r/8) uint8 columns of an (r, n - 1) block of coin bytes, r a multiple
-    of 8: bit b of node i's byte j is row 8j + b's side of node i, and node 0
-    is all zeros."""
-    r, width = coins.shape
-    groups = coins.reshape(r // 8, 8, width)
-    packed = groups[:, 0] >> 7
-    shifted = np.empty_like(packed)
-    for k in range(1, 8):
-        np.right_shift(groups[:, k], 7 - k, out=shifted)
-        shifted &= 1 << k
-        packed |= shifted
-    columns = np.zeros((width + 1, r // 8), dtype=np.uint8)
-    columns[1:] = packed.T
-    return columns
-
-
 def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
     """Best cut among `budget` uniform random assignments (first bit fixed to 0).
 
     Rows are drawn and scored _SEARCH_BLOCK_ROWS at a time, so memory stays
-    bounded; the first best row over all blocks wins. The last block draws
-    coins for a multiple of 8 rows and scores only the rows the budget asks for.
+    bounded; the first best row over all blocks wins. Every block draws all of
+    its words, so row i's coins do not depend on the budget, and the last block
+    scores only the rows the budget asks for.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if g.n == 0:
         raise ValueError("graph has no nodes")
     start = time.perf_counter()
-    width = g.n - 1
+    words = _SEARCH_BLOCK_ROWS // 64
     bitgen = np.random.default_rng(seed).bit_generator
-    best_cut, best_row = -1, None
+    columns = np.zeros((g.n, 8 * words), dtype=np.uint8)
+    best_cut, best_bits = -1, None
     for lo in range(0, budget, _SEARCH_BLOCK_ROWS):
-        rows = min(_SEARCH_BLOCK_ROWS, budget - lo)
-        padded = -(-rows // 8) * 8
-        coins = _coin_bytes(bitgen, padded * width).reshape(padded, width)
-        cuts = column_cuts(g, _pack_rows(coins), rows)
+        raw = bitgen.random_raw((g.n - 1) * words).astype("<u8", copy=False)
+        columns[1:] = raw.view(np.uint8).reshape(g.n - 1, 8 * words)
+        cuts = column_cuts(g, columns, min(_SEARCH_BLOCK_ROWS, budget - lo))
         best = int(np.argmax(cuts))
         if cuts[best] > best_cut:
-            best_cut, best_row = int(cuts[best]), coins[best] >> 7
-    assignment = "0" + "".join("1" if b else "0" for b in best_row)
+            best_cut, best_bits = int(cuts[best]), (columns[:, best >> 3] >> (best & 7)) & 1
+    assignment = "".join("1" if b else "0" for b in best_bits)
     return BaselineResult(
         best_assignment=assignment,
         best_cut=best_cut,

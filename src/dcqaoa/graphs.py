@@ -32,10 +32,12 @@ from .errors import (
 
 BRUTE_FORCE_LIMIT = 24
 _GENERATION_RETRIES = 200
-# row x edge bytes unpacked at once by column_cuts
-_CUT_BLOCK_ELEMENTS = 1 << 20
-# edges column_cuts sums per row in one uint16 lane; one more could wrap it
-_CUT_LANE_EDGES = (1 << 16) - 1
+# row x edge bytes unpacked at once by column_cuts: 64 KiB stays in L2 and
+# below glibc's default 128 KiB mmap threshold, so a chunk reuses heap memory
+# instead of a fresh mapping that the kernel faults in and zeroes
+_CUT_BLOCK_ELEMENTS = 1 << 16
+# edges column_cuts sums per row in one uint8 lane; one more could wrap it
+_CUT_LANE_EDGES = (1 << 8) - 1
 
 
 class Lowpoints(NamedTuple):
@@ -139,7 +141,8 @@ class Graph:
     def cut_table(self) -> np.ndarray:
         """Read-only ``int16`` cuts of basis indices b < 2^(n-1) (MSB first, bit 0
         is 0); flipping every bit keeps a cut, so they hold every cut. Built
-        ``_CUT_BLOCK_ELEMENTS // n`` rows at a time up to BRUTE_FORCE_LIMIT nodes."""
+        ``_CUT_BLOCK_ELEMENTS // n`` rows at a time, so each block's rows and
+        unpacked cut bits stay under 64 KiB, up to BRUTE_FORCE_LIMIT nodes."""
         n = self.n
         if n == 0:
             raise ValueError("empty graph has no cut assignments")
@@ -511,9 +514,9 @@ def column_cuts(g: Graph, columns: np.ndarray, r: int) -> np.ndarray:
     8j + b in bit b of byte j.
 
     Each edge XORs its endpoint columns into a plane of cut bits; the planes
-    are unpacked and summed per row as uint16, at most _CUT_LANE_EDGES and
-    _CUT_BLOCK_ELEMENTS // r edges at a time, so no sum wraps and memory
-    stays bounded.
+    are unpacked and summed per row as uint8, at most _CUT_LANE_EDGES and
+    _CUT_BLOCK_ELEMENTS // r edges at a time, so no sum wraps and a chunk
+    unpacks to at most 64 KiB, or to r bytes when one edge's row needs more.
     """
     pu, pv = g.edge_positions.T
     step = min(_CUT_LANE_EDGES, max(1, _CUT_BLOCK_ELEMENTS // max(1, r)))
@@ -521,7 +524,7 @@ def column_cuts(g: Graph, columns: np.ndarray, r: int) -> np.ndarray:
     for lo in range(0, g.m, step):
         planes = columns[pu[lo : lo + step]] ^ columns[pv[lo : lo + step]]
         bits = np.unpackbits(planes, axis=1, count=r, bitorder="little")
-        cuts += bits.sum(axis=0, dtype=np.uint16)
+        cuts += bits.sum(axis=0, dtype=np.uint8)
     return cuts
 
 

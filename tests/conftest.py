@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import dcqaoa
 from dcqaoa import ConnectivityExceededError, Graph, SolutionMap, random_chain_graph
 from dcqaoa.graphs import (
     components_excluding,
@@ -23,6 +29,7 @@ from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half
 from dcqaoa.reconstruction import scheme_function
 from dcqaoa.seeds import derive_seed
 
+SRC = Path(dcqaoa.__file__).resolve().parents[1]
 
 # property tests explore the same examples on every run and keep no database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -183,17 +190,37 @@ def gathered_cut_values(g: Graph, rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(rows[:, pu] != rows[:, pv], axis=1)
 
 
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def raw_coin_blocks(n: int, seed: int, block: int = 4096) -> Iterator[np.ndarray]:
+    """Endless (block, n) 0/1 row blocks of random_search's coins: each block
+    draws block/64 raw words per node i >= 1, unpacked little end first, so row
+    64w + k is bit k of word w; node 0 is all zeros."""
+    bitgen = np.random.default_rng(seed).bit_generator
+    while True:
+        words = bitgen.random_raw((n - 1) * (block // 64)).astype("<u8")
+        rows = np.zeros((block, n), dtype=np.uint8)
+        bits = np.unpackbits(words.view(np.uint8).reshape(n - 1, block // 8), axis=1, bitorder="little")
+        rows[:, 1:] = bits.T
+        yield rows
+
+
 def blocked_random_search(g: Graph, budget: int, seed: int, block: int = 4096) -> tuple[str, int]:
-    """(assignment, cut) of the first best of `budget` rows drawn by
-    rng.integers and scored by gathered_cut_values `block` rows at a time: the
-    oracle for baselines.random_search. A block of a multiple of 4 rows spends
-    whole 32-bit words, so the blocks continue one draw of every row."""
-    rng = np.random.default_rng(seed)
+    """(assignment, cut) of the first best of the first `budget` rows of
+    raw_coin_blocks, scored by gathered_cut_values one block at a time: the
+    oracle for baselines.random_search."""
+    blocks = raw_coin_blocks(g.n, seed, block)
     best_cut, best_row = -1, None
     for lo in range(0, budget, block):
-        rows = np.zeros((min(block, budget - lo), g.n), dtype=np.uint8)
-        if g.n > 1:
-            rows[:, 1:] = rng.integers(0, 2, size=(len(rows), g.n - 1), dtype=np.uint8)
+        rows = next(blocks)[: budget - lo]
         cuts = gathered_cut_values(g, rows)
         best = int(np.argmax(cuts))
         if cuts[best] > best_cut:

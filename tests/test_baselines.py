@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from dcqaoa import (
     random_search,
 )
 from dcqaoa import baselines
-from dcqaoa.graphs import column_cuts
+from dcqaoa.graphs import column_cuts, cut_values
 from dcqaoa.seeds import derive_seed
 from conftest import (
     blocked_random_search,
@@ -24,6 +25,8 @@ from conftest import (
     naive_cut_size,
     path_graph,
     positions,
+    raw_coin_blocks,
+    run_fresh,
     triangle,
 )
 
@@ -60,14 +63,17 @@ def greedy_loop(g, seed, restarts):
     return "".join(str(b) for b in best_bits), best_cut, evaluations
 
 
-def one_shot_random_search(g, budget, seed):
-    """(assignment, cut) from one draw of all `budget` rows: the oracle for
-    the blocked draw in random_search."""
-    rows = np.zeros((budget, g.n), dtype=np.uint8)
-    if g.n > 1:
-        rows[:, 1:] = np.random.default_rng(seed).integers(
-            0, 2, size=(budget, g.n - 1), dtype=np.uint8
-        )
+def one_shot_random_search(g, budget, seed, block=4096):
+    """(assignment, cut) of the first best of `budget` rows whose blocks' words
+    come from one random_raw call: the oracle for the blocked draw in
+    random_search, which draws one block at a time."""
+    blocks = -(-budget // block)
+    words = np.random.default_rng(seed).bit_generator.random_raw(blocks * (g.n - 1) * (block // 64))
+    packed = words.astype("<u8").view(np.uint8).reshape(blocks, g.n - 1, block // 8)
+    bits = np.unpackbits(packed, axis=2, bitorder="little")
+    rows = np.zeros((blocks, block, g.n), dtype=np.uint8)
+    rows[:, :, 1:] = bits.transpose(0, 2, 1)
+    rows = rows.reshape(-1, g.n)[:budget]
     cuts = gathered_cut_values(g, rows)
     best = int(np.argmax(cuts))
     return "".join(str(b) for b in rows[best]), int(cuts[best])
@@ -82,11 +88,13 @@ class TestRandomSearch:
     @pytest.mark.parametrize("n", [2, 3, 6, 7, 10])
     @pytest.mark.parametrize("budget", [1, 5, 13, 30, 101])
     def test_blocks_match_one_shot_oracle(self, block, n, budget):
-        # the blocked oracle's own premise: blocks of whole 32-bit words
-        # continue one draw of every row
+        # the blocked oracle's own premise: blocks of `block` words per node
+        # continue one draw of every word; 64 * budget - 1 rows end mid-word
+        # and, past 64 * block rows, span blocks
         g = random_graph(n, 0.6, seed=n)
-        assert blocked_random_search(g, budget, budget + n, block) == one_shot_random_search(
-            g, budget, budget + n
+        rows = 64 * budget - 1
+        assert blocked_random_search(g, rows, budget + n, 64 * block) == one_shot_random_search(
+            g, rows, budget + n, 64 * block
         )
 
     @pytest.mark.parametrize("block", [64, 128, 192])
@@ -97,16 +105,19 @@ class TestRandomSearch:
         monkeypatch.setattr(baselines, "_SEARCH_BLOCK_ROWS", block)
         result = random_search(g, budget=budget, seed=budget + n)
         assert (result.best_assignment, result.best_cut) == one_shot_random_search(
-            g, budget, budget + n
+            g, budget, budget + n, block
         )
         assert result.evaluations == budget
 
     def test_default_blocks_match_one_shot_oracle(self):
-        # 33 draws per row; with this seed the first best row lies in the second block
+        # 33 coins per row; with this seed the first best row lies in the second block
         g = random_chain_graph(34, seed=2)
         budget = 2 * baselines._SEARCH_BLOCK_ROWS + 7
         result = random_search(g, budget=budget, seed=0)
-        assert (result.best_assignment, result.best_cut) == one_shot_random_search(g, budget, 0)
+        expected = one_shot_random_search(g, budget, 0)
+        assert (result.best_assignment, result.best_cut) == expected
+        first_block = one_shot_random_search(g, baselines._SEARCH_BLOCK_ROWS, 0)
+        assert first_block[1] < expected[1]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -126,23 +137,57 @@ class TestRandomSearch:
 
     @pytest.mark.parametrize("count", [8, 64, 4088, 8 * 4096, 511 * 4096])
     @pytest.mark.parametrize("seed", [0, 90001])
-    def test_coins_follow_bounded_uint8_stream(self, count, seed):
-        bitgen = np.random.default_rng(seed).bit_generator
-        blocks = [baselines._coin_bytes(bitgen, count) >> 7 for _ in range(2)]
-        expected = np.random.default_rng(seed).integers(0, 2, size=2 * count, dtype=np.uint8)
-        assert np.array_equal(np.concatenate(blocks), expected)
+    def test_coins_follow_raw_stream(self, monkeypatch, count, seed):
+        # on one free node, row i's coin is bit i % 64 of raw word i // 64 of
+        # its block, and every block draws all of its 64 words
+        seen = []
+
+        def spy(g, columns, r):
+            seen.append((columns.copy(), r))
+            return column_cuts(g, columns, r)
+
+        monkeypatch.setattr(baselines, "column_cuts", spy)
+        random_search(k2(), budget=count, seed=seed)
+        blocks = -(-count // 4096)
+        assert [r for _, r in seen] == [min(4096, count - lo) for lo in range(0, count, 4096)]
+        raw = np.random.default_rng(seed).bit_generator.random_raw(64 * blocks)
+        assert np.array_equal(
+            np.concatenate([columns[1] for columns, _ in seen]),
+            raw.astype("<u8").view(np.uint8),
+        )
+        assert not any(columns[0].any() for columns, _ in seen)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 63, 64, 65, 1000])
     def test_packed_cuts_match_cut_values(self, m):
+        # 256 rows whose columns are raw words, as random_search packs them
         n = 50
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         picks = np.random.default_rng(m).choice(len(pairs), size=m, replace=False)
         g = Graph.from_edges([pairs[i] for i in picks], nodes=range(n))
-        coins = np.random.default_rng(m).integers(0, 256, size=(256, n - 1), dtype=np.uint8)
-        rows = np.zeros((256, n), dtype=np.uint8)
-        rows[:, 1:] = coins >> 7
-        cuts = column_cuts(g, baselines._pack_rows(coins), 256)
+        rows = next(raw_coin_blocks(n, m, block=256))
+        columns = np.zeros((n, 32), dtype=np.uint8)
+        columns[1:] = np.packbits(rows[:, 1:].T, axis=1, bitorder="little")
+        words = np.random.default_rng(m).bit_generator.random_raw(4 * (n - 1))
+        assert np.array_equal(columns[1:].ravel(), words.astype("<u8").view(np.uint8))
+        cuts = column_cuts(g, columns, 256)
         assert np.array_equal(cuts, gathered_cut_values(g, rows))
+        assert np.array_equal(cuts, cut_values(g, rows))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="glibc's mmap threshold and ru_minflt")
+    def test_blocks_take_no_page_faults(self):
+        # a fresh interpreter fixes the allocator's history; a search whose
+        # chunks were fresh mappings faults in and zeroes each one (about
+        # 27,000 faults here with 1 MiB chunks, about 160 with 64 KiB ones)
+        code = (
+            "import resource\n"
+            "from dcqaoa import random_chain_graph, random_search\n"
+            "g = random_chain_graph(512, 1)\n"
+            "random_search(g, 20_000, 0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "random_search(g, 200_000, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(run_fresh(code)) <= 2000
 
     def test_pool_threads_match_serial_runs(self):
         jobs = [
@@ -188,9 +233,18 @@ class TestRandomSearch:
         assert a.best_cut == b.best_cut
 
     def test_nested_budget_prefix_property(self):
+        # a smaller budget scores a prefix of a larger one's rows, so each result
+        # is the first best among that many rows of the largest budget's stream
         g = random_graph(14, 0.3, seed=6)
-        best = [random_search(g, budget=b, seed=11).best_cut for b in (50, 100, 200, 400)]
-        assert best == sorted(best)
+        budgets = (50, 100, 200, 400, 4095, 4097, 5000)
+        blocks = raw_coin_blocks(g.n, 11)
+        rows = np.concatenate([next(blocks), next(blocks)])[: budgets[-1]]
+        cuts = gathered_cut_values(g, rows)
+        for budget in budgets:
+            result = random_search(g, budget=budget, seed=11)
+            best = int(np.argmax(cuts[:budget]))
+            expected = ("".join(str(b) for b in rows[best]), int(cuts[best]))
+            assert (result.best_assignment, result.best_cut) == expected
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

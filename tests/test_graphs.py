@@ -249,9 +249,24 @@ class TestCutValues:
             assert cut_values(g, rows).tolist() == expected
             assert column_cuts(g, columns, r).tolist() == expected
 
+    @pytest.mark.parametrize("m", [254, 255, 256, 510, 511])
+    @pytest.mark.parametrize("r", [1, 9, 64, 256])
+    def test_lane_boundaries_cut_every_edge(self, m, r):
+        # a complete bipartite graph with m edges, every row a side split: each
+        # of the m edges is cut, so a lane summing more than 255 would wrap
+        a = next(a for a in range(2, m) if m % a == 0)
+        g = Graph.from_edges([(u, a + v) for u in range(a) for v in range(m // a)])
+        assert g.m == m
+        sides = (np.arange(g.n) >= a).astype(np.uint8)
+        rows = np.where(np.arange(r)[:, None] % 2, 1 - sides, sides).astype(np.uint8)
+        columns = np.packbits(rows, axis=0, bitorder="little").T
+        assert cut_values(g, rows).tolist() == [m] * r
+        assert column_cuts(g, columns, r).tolist() == [m] * r
+
     @pytest.mark.parametrize("r", [1, 9, 16])
     def test_more_edges_than_one_lane(self, r):
-        # K363 has 65,703 edges, so its edges fill one uint16 lane and spill
+        # K363 has 65,703 edges: 258 full uint8 lanes, and more than any
+        # 16-bit per-row sum can hold
         g = complete_graph(363)
         rows = np.random.default_rng(r).integers(0, 2, size=(r, g.n), dtype=np.uint8)
         expected = gathered_cut_values(g, rows)

@@ -1,13 +1,10 @@
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import dcqaoa
+from conftest import run_fresh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = Path(dcqaoa.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     "AnsatzParams",
@@ -62,16 +59,6 @@ def test_readme_library_snippet_runs(capsys):
     assert match, "README has no python block under '## Library'"
     exec(match.group(1), {})
     assert float(capsys.readouterr().out.strip()) > 0
-
-
-def run_fresh(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this source tree."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
 
 
 def test_package_import_loads_no_scipy():
