@@ -28,7 +28,6 @@ from .graphs import (
 from .partition import nlgp, nrl
 from .qaoa import (
     AnsatzParams,
-    apply_mixer_layer,
     optimize_params,
     qaoa_maxcut,
     sample_solution_map,
@@ -58,7 +57,6 @@ __all__ = [
     "SizeLimitError",
     "SolutionMap",
     "abridge",
-    "apply_mixer_layer",
     "best_sampled_cut",
     "brute_force_maxcut",
     "chain_maxcut",

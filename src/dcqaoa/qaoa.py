@@ -12,11 +12,13 @@ f^n once per layer (see ``apply_mixer_layer``). On a half of 64 amplitudes
 or more, the last three qubits, whose pairs lie fewer than 8 apart, run on
 a transposed copy of the state, where they pair whole rows.
 
-Workspace: ``optimize_params`` and ``output_distribution`` build one
-``_Workspace`` per circuit. It checks the cut table once and holds every
-array a run writes: two ping-pong state buffers and the planned views, and
-no scratch buffer. A run allocates no state-sized complex array, and each
-kernel does the floating-point operations of one that allocates afresh.
+Circuit: ``optimize_params`` and ``output_distribution`` each build one
+``_Circuit`` from the leaf's graph. It checks the qubit cap before it reads
+the graph's cut table, and holds the table, the read-only start state and
+every array a run writes: two ping-pong state buffers and the planned
+views, and no scratch buffer. A run allocates no state-sized complex array,
+and each kernel does the floating-point operations of one that allocates
+afresh.
 
 Half layout: a cut is unchanged when every bit flips, and both |+>^n and
 the mixer commute with X^n, so every state of the circuit is spin-flip
@@ -80,39 +82,36 @@ class AnsatzParams:
         return cls(tuple((x[i], x[i + 1]) for i in range(0, len(x), 2)))
 
 
-def _initial_half(n: int) -> np.ndarray:
-    """The bit-0 = 0 half of the uniform superposition over n qubits."""
-    n = _check_qubits(n)
-    return np.full(1 << (n - 1), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-
-
-class _Workspace:
+class _Circuit:
     """The arrays of one leaf's circuit, built once and reused by every run.
 
-    It holds the checked ``intp`` cut table and ``cut_range``, two
-    ping-pong state buffers ``a`` and ``b``, and every mixer step's views
-    for a layer that starts in either buffer. Each kernel writes into the
-    buffer its input is not in, so a state the kernels return stays valid
-    until the next kernel call on the same workspace.
+    It holds g's cut table as ``intp`` and ``cut_range``, the read-only
+    uniform start half ``start``, two ping-pong state buffers ``a`` and
+    ``b``, and every mixer step's views for a layer that starts in either
+    buffer. Each kernel writes into the buffer its input is not in, so a
+    state the kernels return stays valid until the next kernel call on the
+    same circuit.
     """
 
-    def __init__(self, n: int, table: np.ndarray):
-        if table.shape != (1 << (n - 1),):
-            raise ValueError("state and cut table dimensions differ")
-        if not np.issubdtype(table.dtype, np.integer):
-            raise ValueError(f"cut table must have an integer dtype, not {table.dtype}")
-        if table.min() < 0:
-            raise ValueError("cut table holds a negative entry")
+    def __init__(self, g: Graph):
+        n = g.n  # the cap is checked before the table is built
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        if n > QUBIT_CAP:
+            raise SizeLimitError(f"{n} qubits exceeds the simulator cap of {QUBIT_CAP}")
+        table = g.cut_table
         self.table = table.astype(np.intp)  # numpy gathers by intp indices fastest
         self.cut_range = np.arange(table.max() + 1, dtype=np.float64)
+        self.start = np.full(len(table), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+        self.start.flags.writeable = False
         self.a, self.b = np.empty((2, len(table)), dtype=np.complex128)
-        self.from_a = self._mixer_steps(self.a, self.b)
-        self.from_b = self._mixer_steps(self.b, self.a)
+        self.from_a = self._mixer_steps(n, self.a, self.b)
+        self.from_b = self._mixer_steps(n, self.b, self.a)
 
-    def _mixer_steps(self, src: np.ndarray, dst: np.ndarray):
-        """The steps of a mixer layer that starts in `src`, and the buffer
-        it ends in. A qubit step is (source, partner, destination) views,
-        and each step moves the state to the other buffer.
+    def _mixer_steps(self, n: int, src: np.ndarray, dst: np.ndarray):
+        """The steps of an n-qubit mixer layer that starts in `src`, and the
+        buffer it ends in. A qubit step is (source, partner, destination)
+        views, and each step moves the state to the other buffer.
 
         Qubit 0 pairs the half with its reverse and qubit q >= 1 pairs the
         halves of axis 1 of a (2^(q-1), 2, rest) view. At 64 amplitudes or
@@ -133,7 +132,7 @@ class _Workspace:
 
         tail = 3 if len(src) >= 64 else 0
         step(src, src[::-1], dst)
-        for q in range(1, _qubits_of(src) - tail):
+        for q in range(1, n - tail):
             pair_step((1 << (q - 1), 2, -1))
         if tail:
             step(src.reshape(-1, 8).T, None, dst.reshape(8, -1))
@@ -143,32 +142,22 @@ class _Workspace:
         return steps, src
 
 
-def apply_cost_phases(
-    half: np.ndarray,
-    table: np.ndarray,
-    cut_range: np.ndarray,
-    gamma: float,
-    work: _Workspace | None = None,
-) -> np.ndarray:
+def apply_cost_phases(half: np.ndarray, gamma: float, circuit: _Circuit) -> np.ndarray:
     """Phase e^(-i*gamma*table[b]) on each amplitude of a half state.
 
-    ``table`` is the half's ``Graph.cut_table`` and ``cut_range`` is 0.0,
-    1.0, ..., max cut: the phase is evaluated once per cut value and
-    gathered by the table. ``work`` is the circuit's workspace, which
-    checked the table once when it was built; without it the call builds
-    one. The result is written into ``work``, not into `half`.
+    ``circuit.table`` is the graph's ``Graph.cut_table`` and
+    ``circuit.cut_range`` is 0.0, 1.0, ..., max cut: the phase is evaluated
+    once per cut value and gathered by the table. The result is written
+    into a buffer of `circuit`, not into `half`.
     """
-    if work is None:
-        work = _Workspace(_qubits_of(half), table)
-    phases = np.exp(-1j * gamma * cut_range)
-    # the table is checked; mode "raise" would gather into a temporary first
-    gathered = phases.take(table, out=work.b if half is work.a else work.a, mode="clip")
+    phases = np.exp(-1j * gamma * circuit.cut_range)
+    # a cut table's entries lie in 0..max cut; mode "raise" would gather into a temporary first
+    out = circuit.b if half is circuit.a else circuit.a
+    gathered = phases.take(circuit.table, out=out, mode="clip")
     return np.multiply(half, gathered, out=gathered)
 
 
-def apply_mixer_layer(
-    half: np.ndarray, beta: float, work: _Workspace | None = None
-) -> np.ndarray:
+def apply_mixer_layer(half: np.ndarray, beta: float, circuit: _Circuit) -> np.ndarray:
     """R_X(2*beta) on every qubit of a spin-flip-symmetric state, as its half.
 
     R_X(2*beta) = c*I + s*X, with c = cos(beta) and s = -i*sin(beta), is
@@ -177,19 +166,17 @@ def apply_mixer_layer(
     spin-flip-symmetric state, so each qubit step is two array passes, t
     times the partner amplitude plus the amplitude, and the layer ends with
     one multiply by f^n (f = c or s); the amplitudes grow by at most 2^n
-    before it. The steps write into views that ``work`` planned (see
-    ``_Workspace._mixer_steps``); without it the call builds one. The
-    result is written into ``work``, not into `half`.
+    before it. The steps write into views that `circuit` planned (see
+    ``_Circuit._mixer_steps``); a half in neither buffer is copied into
+    buffer ``a`` first. The result is written into `circuit`, not into
+    `half`.
     """
-    if work is None:
-        # the workspace of an edgeless leaf: a mixer reads no cut table
-        work = _Workspace(_qubits_of(half), np.zeros(len(half), dtype=np.intp))
-    if half is work.b:
-        steps, out = work.from_b
+    if half is circuit.b:
+        steps, out = circuit.from_b
     else:
-        if half is not work.a:
-            np.copyto(work.a, half)
-        steps, out = work.from_a
+        if half is not circuit.a:
+            np.copyto(circuit.a, half)
+        steps, out = circuit.from_a
     c, s = math.cos(beta), complex(0.0, -math.sin(beta))
     t, f = (s / c, c) if abs(c) >= abs(s) else (c / s, s)
     for src, partner, dst in steps:
@@ -201,21 +188,13 @@ def apply_mixer_layer(
     return np.multiply(out, f ** len(out).bit_length(), out=out)
 
 
-def _evolve(
-    half: np.ndarray, table: np.ndarray, layers, work: _Workspace | None = None
-) -> np.ndarray:
-    """The depth-p circuit on the half of a spin-flip-symmetric state.
-
-    ``table`` is ``Graph.cut_table``, the cut of each amplitude of the half.
-    ``work`` is the circuit's workspace, which checked the table once when
-    it was built; without it the call builds one. `half` is left as it is,
-    and the result lives in ``work`` until its next run.
-    """
-    if work is None:
-        work = _Workspace(_qubits_of(half), table)
+def _evolve(circuit: _Circuit, layers) -> np.ndarray:
+    """The depth-p circuit on the half of the uniform start state. The
+    result lives in a buffer of `circuit` until its next run."""
+    half = circuit.start
     for gamma, beta in layers:
-        half = apply_cost_phases(half, work.table, work.cut_range, gamma, work)
-        half = apply_mixer_layer(half, beta, work)
+        half = apply_cost_phases(half, gamma, circuit)
+        half = apply_mixer_layer(half, beta, circuit)
     return half
 
 
@@ -346,14 +325,12 @@ def optimize_params(
         raise ValueError("restarts must be >= 1")
     if start is not None and start[0].p != p:
         raise ValueError(f"warm start has depth {start[0].p}, not {p}")
-    half0 = _initial_half(g.n)  # checks the qubit cap before the table is built
-    table = g.cut_table
-    work = _Workspace(g.n, table)
-    weights = table.astype(np.float64)
+    circuit = _Circuit(g)
+    weights = g.cut_table.astype(np.float64)
 
     def neg_expectation(x: np.ndarray) -> float:
         layers = [(x[2 * i], x[2 * i + 1]) for i in range(p)]
-        return -_expectation_of(_evolve(half0, table, layers, work), weights)
+        return -_expectation_of(_evolve(circuit, layers), weights)
 
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
@@ -369,7 +346,7 @@ def optimize_params(
         x, low = _nelder_mead(neg_expectation, x0, budget)
         if -low > best_val:
             best_x, best_val = x, -low
-        if warm and best_val >= (start[1] - _WARM_SLACK) * int(table.max()):
+        if warm and best_val >= (start[1] - _WARM_SLACK) * int(g.cut_table.max()):
             break
     assert best_x is not None
     return AnsatzParams.from_flat(best_x), best_val
@@ -377,27 +354,22 @@ def optimize_params(
 
 def output_distribution(g: Graph, params: AnsatzParams) -> np.ndarray:
     """Normalized measurement probabilities of all 2^n basis states of the final state."""
-    # _initial_half checks the qubit cap before the table is built
-    probs = _probabilities(_evolve(_initial_half(g.n), g.cut_table, params.layers))
+    probs = _probabilities(_evolve(_Circuit(g), params.layers))
     probs /= probs.sum()
     return probs
 
 
-def sample_solution_map(
-    g: Graph, params: AnsatzParams, shots: int, seed: int, *, probs: np.ndarray | None = None
-) -> SolutionMap:
-    """Seeded measurement of the final state; entry order is unspecified.
+def sample_solution_map(g: Graph, probs: np.ndarray, shots: int, seed: int) -> SolutionMap:
+    """Seeded draw of `shots` basis states from `probs`; entry order is unspecified.
 
-    `probs`, when given, is ``output_distribution(g, params)`` computed
-    before, so the circuit is not run again; any shape but (2^n,) is
-    refused. Each row carries its cut, read off ``g.cut_table``: index b of
-    the upper half has the cut of its complement 2^n - 1 - b.
+    `probs` is a distribution over g's 2^n basis states, such as
+    ``output_distribution(g, params)``; any shape but (2^n,) is refused.
+    Each row carries its cut, read off ``g.cut_table``: index b of the upper
+    half has the cut of its complement 2^n - 1 - b.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
-    if probs is None:
-        probs = output_distribution(g, params)
-    elif np.shape(probs) != (1 << g.n,):
+    if np.shape(probs) != (1 << g.n,):
         raise ValueError(f"probs has shape {np.shape(probs)}, not ({1 << g.n},)")
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
@@ -419,19 +391,5 @@ def qaoa_maxcut(
     params, _ = optimize_params(
         g, p, seed=derive_seed(seed, "optimize"), budget=budget, restarts=restarts
     )
-    return sample_solution_map(g, params, shots, seed=derive_seed(seed, "sample"))
-
-
-def _check_qubits(n: int) -> int:
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if n > QUBIT_CAP:
-        raise SizeLimitError(f"{n} qubits exceeds the simulator cap of {QUBIT_CAP}")
-    return n
-
-
-def _qubits_of(half: np.ndarray) -> int:
-    """Qubit count n of a half state, whose length is 2^(n-1)."""
-    if len(half) < 1 or len(half) & (len(half) - 1):
-        raise ValueError("half statevector length must be a power of two >= 1")
-    return len(half).bit_length()
+    probs = output_distribution(g, params)
+    return sample_solution_map(g, probs, shots, seed=derive_seed(seed, "sample"))

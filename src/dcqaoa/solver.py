@@ -223,21 +223,20 @@ def _solve_leaves(leaves: list[tuple[Graph, int]], cfg: DcConfig) -> list[Soluti
         first, seed = leaves[members[0]]
         key = refined_form(first)
         if key not in angles:
-            max_cut = int(first.cut_table.max())
+            # an edge makes the max cut positive; optimize_params checks the
+            # qubit cap before anything reads the cut table
             angles[key], value = qaoa.optimize_params(
                 first, cfg.p, seed=derive_seed(derive_seed(seed, "leaf", first.nodes), "optimize"),
                 budget=cfg.budget, restarts=cfg.restarts,
-                start=donors.get(first.n) if max_cut else None,
+                start=donors.get(first.n) if first.m else None,
             )
-            if max_cut:
-                donors[first.n] = (angles[key], value / max_cut)
-        params = angles[key]
-        probs = qaoa.output_distribution(first, params)
+            if first.m:
+                donors[first.n] = (angles[key], value / int(first.cut_table.max()))
+        probs = qaoa.output_distribution(first, angles[key])
         for i in members:
             g, seed = leaves[i]
             drawn = qaoa.sample_solution_map(
-                first, params, cfg.s, probs=probs,
-                seed=derive_seed(derive_seed(seed, "leaf", g.nodes), "sample"),
+                first, probs, cfg.s, seed=derive_seed(derive_seed(seed, "leaf", g.nodes), "sample")
             )
             # equal shapes have equal positions, so first's rows are g's rows
             m = SolutionMap._from_known_rows(g.nodes, drawn.rows, drawn.row_counts, drawn.cuts)

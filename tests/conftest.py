@@ -25,7 +25,7 @@ from dcqaoa.graphs import (
 from dcqaoa.partition import SeparationResult
 import dcqaoa.qaoa as qaoa
 import dcqaoa.solver as solver
-from dcqaoa.qaoa import _evolve, _expectation_of, _initial_half
+from dcqaoa.qaoa import _Circuit, _evolve, _expectation_of
 from dcqaoa.reconstruction import scheme_function
 from dcqaoa.seeds import derive_seed
 
@@ -178,7 +178,8 @@ def unshared_solve_leaves(leaves: list, cfg) -> list[SolutionMap]:
             )
             if max_cut:
                 donors[g.n] = (angles[key], value / max_cut)
-        m = qaoa.sample_solution_map(g, angles[key], cfg.s, seed=derive_seed(seed, "sample"))
+        probs = qaoa.output_distribution(g, angles[key])
+        m = qaoa.sample_solution_map(g, probs, cfg.s, seed=derive_seed(seed, "sample"))
         maps.append(solver._top_rows(g, m, cfg))
     return maps
 
@@ -254,10 +255,10 @@ def cold_draws(p: int, seed: int, restarts: int) -> list[np.ndarray]:
 def cold_optimize_params(g: Graph, p: int, seed: int, budget: int, restarts: int):
     """optimize_params before warm starts, converting the cut table on every
     evaluation: the oracle for qaoa.optimize_params without `start`."""
-    half0, table = qaoa._initial_half(g.n), g.cut_table
+    circuit, table = qaoa._Circuit(g), g.cut_table
 
     def neg_expectation(x):
-        half = qaoa._evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)])
+        half = qaoa._evolve(circuit, [(x[2 * i], x[2 * i + 1]) for i in range(p)])
         return -half_expectation(half, table)
 
     best_x, best_val = None, -math.inf
@@ -318,12 +319,12 @@ def cut_value_table(g: Graph) -> np.ndarray:
 
 def final_state(g: Graph, params) -> np.ndarray:
     """Full statevector after the whole depth-p circuit on g."""
-    return mirrored(_evolve(_initial_half(g.n), g.cut_table, params.layers))
+    return mirrored(_evolve(_Circuit(g), params.layers))
 
 
 def qaoa_expectation(g: Graph, params) -> float:
     """Exact expected cut size of the circuit's output distribution."""
-    half = _evolve(_initial_half(g.n), g.cut_table, params.layers)
+    half = _evolve(_Circuit(g), params.layers)
     return _expectation_of(half, g.cut_table.astype(np.float64))
 
 
@@ -337,7 +338,7 @@ def half_expectation(half: np.ndarray, table: np.ndarray) -> float:
 
 def build_initial_state(n: int) -> np.ndarray:
     """Uniform superposition over all 2^n amplitudes: the full-state oracle
-    for qaoa._initial_half."""
+    for the start half of qaoa._Circuit."""
     return np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
 
 
@@ -392,13 +393,16 @@ def full_expectation(state: np.ndarray, table: np.ndarray) -> float:
 def full_state_qaoa():
     """Within the block, qaoa's optimizer and sampler run on full states
     through the oracles, as the simulator did before the half-state kernels;
-    the evolution mirrors the half cut table it is given, and the objective
-    reads the bit-0 = 0 half of the full state."""
+    the evolution starts from the uniform full state and mirrors the
+    circuit's half cut table, and the objective reads the bit-0 = 0 half of
+    the full state."""
+
+    def evolve(circuit, layers):
+        n = len(circuit.table).bit_length()
+        return full_evolve(build_initial_state(n), mirrored(circuit.table), layers)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qaoa, "_initial_half", build_initial_state)
-        mp.setattr(
-            qaoa, "_evolve", lambda state, t, layers, work=None: full_evolve(state, mirrored(t), layers)
-        )
+        mp.setattr(qaoa, "_evolve", evolve)
         mp.setattr(
             qaoa, "_expectation_of", lambda state, t: half_expectation(state[: len(t)], t)
         )
@@ -434,7 +438,7 @@ def per_call_cost_phases(
     half: np.ndarray, table: np.ndarray, cut_range: np.ndarray, gamma: float
 ) -> np.ndarray:
     """The half-state cost layer gathering fresh phases on every call: the
-    oracle for qaoa.apply_cost_phases, which writes into a workspace."""
+    oracle for qaoa.apply_cost_phases, which writes into its circuit."""
     gathered = np.exp(-1j * gamma * cut_range)[table]
     return np.multiply(half, gathered, out=gathered)
 
@@ -468,7 +472,8 @@ def textbook_mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
 
 def per_call_evolve(half: np.ndarray, table: np.ndarray, layers) -> np.ndarray:
     """The depth-p circuit through the per-call kernels: the oracle for
-    qaoa._evolve, which runs every layer in one workspace."""
+    the kernels run on one qaoa._Circuit, which writes every layer into its
+    buffers."""
     cut_range = np.arange(table.max() + 1, dtype=np.float64)
     table = table.astype(np.intp)
     for gamma, beta in layers:

@@ -82,6 +82,14 @@ class TestSolve:
         assert report["reference"] == {"kind": "brute_force", "max_cut": 116}
         assert 0.0 < report["metrics"]["approximation_ratio_best_sampled"] <= 1.0
 
+    def test_leaf_over_the_qubit_cap_names_the_simulator_cap(self, tmp_path, capsys):
+        path = str(tmp_path / "er25.edges")
+        assert main(["gen", "--n", "25", "--seed", "1", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--k", "25", *FAST]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "simulator cap of 20" in line
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 2 3\n")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from dcqaoa import (
     AnsatzParams,
     Graph,
     SizeLimitError,
-    apply_mixer_layer,
     expectation_value,
     optimize_params,
     qaoa_maxcut,
@@ -21,10 +21,11 @@ import dcqaoa.graphs as dcgraphs
 import dcqaoa.qaoa as qaoa
 from dcqaoa.graphs import cut_values
 from dcqaoa.qaoa import (
+    _Circuit,
     _evolve,
     _expectation_of,
-    _initial_half,
     apply_cost_phases,
+    apply_mixer_layer,
     output_distribution,
 )
 from conftest import (
@@ -129,10 +130,38 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
-def cost_layer(half: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """apply_cost_phases on a half state, given its half cut table."""
-    cut_range = np.arange(table.max() + 1, dtype=np.float64)
-    return apply_cost_phases(half, table, cut_range, gamma)
+@functools.cache
+def edgeless(n: int) -> Graph:
+    """n nodes and no edge: its all-zero cut table makes its circuit's cost
+    layer the identity, so the circuit serves a mixer on any n-qubit half."""
+    return Graph.from_edges([], nodes=range(n))
+
+
+def start_half(n: int) -> np.ndarray:
+    return _Circuit(edgeless(n)).start
+
+
+def cost_layer(half: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
+    """apply_cost_phases on a half state, on the circuit of g."""
+    return apply_cost_phases(half, gamma, _Circuit(g))
+
+
+def mixer_layer(half: np.ndarray, beta: float) -> np.ndarray:
+    """apply_mixer_layer on a half state, on the circuit of an edgeless graph."""
+    return apply_mixer_layer(half, beta, _Circuit(edgeless(len(half).bit_length())))
+
+
+def evolve_from(half: np.ndarray, circuit: _Circuit, layers) -> np.ndarray:
+    """The depth-p circuit from any half: both kernels on one circuit, cost
+    then mixer per layer, as ``_evolve`` runs them from the start half."""
+    for gamma, beta in layers:
+        half = apply_mixer_layer(apply_cost_phases(half, gamma, circuit), beta, circuit)
+    return half
+
+
+def sample_at(g: Graph, params: AnsatzParams, shots: int, seed: int):
+    """sample_solution_map from the output distribution of the angles on g."""
+    return sample_solution_map(g, output_distribution(g, params), shots, seed)
 
 
 wide_angles = st.floats(-20.0, 20.0)
@@ -150,35 +179,39 @@ def graphs_on(draw, n: int):
 
 class TestInitialState:
     def test_one_qubit(self):
-        assert np.allclose(mirrored(_initial_half(1)), [1 / math.sqrt(2)] * 2)
+        assert np.allclose(mirrored(start_half(1)), [1 / math.sqrt(2)] * 2)
 
     def test_two_qubits_uniform(self):
-        assert np.allclose(mirrored(_initial_half(2)), [0.5] * 4)
+        assert np.allclose(mirrored(start_half(2)), [0.5] * 4)
 
     def test_norm(self):
-        state = mirrored(_initial_half(3))
+        state = mirrored(start_half(3))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_cap(self):
         with pytest.raises(SizeLimitError):
-            _initial_half(21)
+            _Circuit(edgeless(21))
         with pytest.raises(ValueError):
-            _initial_half(0)
+            _Circuit(edgeless(0))
+
+    def test_start_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            start_half(3)[0] = 0.0
 
 
 class TestCostLayer:
     def test_zero_angle_identity(self):
-        half = _initial_half(3)
-        assert np.allclose(cost_layer(half, triangle().cut_table, 0.0), half)
+        half = start_half(3)
+        assert np.allclose(cost_layer(half, triangle(), 0.0), half)
 
     def test_full_period_identity(self):
-        half = _initial_half(3)
-        out = cost_layer(half, triangle().cut_table, 2.0 * math.pi)
+        half = start_half(3)
+        out = cost_layer(half, triangle(), 2.0 * math.pi)
         assert np.allclose(out, half, atol=1e-12)
 
     def test_phase_only_keeps_probabilities(self):
-        half = _initial_half(2)
-        out = cost_layer(half, k2().cut_table, math.pi / 2)
+        half = start_half(2)
+        out = cost_layer(half, k2(), math.pi / 2)
         assert np.allclose(np.abs(out) ** 2, np.abs(half) ** 2)
 
     def test_table_matches_cut_size(self):
@@ -196,49 +229,48 @@ class TestCostLayer:
         table = cut_value_table(g)
         half = random_half(g.n, seed)
         expected = float_cost_phases(mirrored(half), table, gamma)
-        assert same_bits(cost_layer(half, g.cut_table, gamma), expected[: len(half)])
+        assert same_bits(cost_layer(half, g, gamma), expected[: len(half)])
 
-    # the circuit checks its cut table once, before the first cost layer
-    def test_float_table_is_refused(self):
-        table = triangle().cut_table.astype(np.float64)
-        with pytest.raises(ValueError, match="integer dtype"):
-            _evolve(_initial_half(3), table, [(0.3, 0.2)])
-
-    def test_negative_entry_is_refused(self):
-        table = triangle().cut_table.copy()
-        table[3] = -1
-        with pytest.raises(ValueError, match="negative"):
-            _evolve(_initial_half(3), table, [(0.3, 0.2)])
+    def test_circuit_holds_the_graph_table(self):
+        # the kernels gather unchecked, by the graph's own int16 table
+        g = random_graph(7, 0.5, seed=3)
+        circuit = _Circuit(g)
+        assert circuit.table.dtype == np.intp
+        assert np.array_equal(circuit.table, g.cut_table)
+        assert circuit.cut_range.tolist() == list(range(int(g.cut_table.max()) + 1))
 
     def test_table_of_another_size_is_refused(self):
         # another graph's half, and this graph's whole space, are both refused
-        for table in (k2().cut_table, cut_value_table(triangle())):
-            with pytest.raises(ValueError, match="dimensions differ"):
-                _evolve(_initial_half(3), table, [(0.3, 0.2)])
+        circuit = _Circuit(triangle())
+        for half in (random_half(2, 1), mirrored(random_half(3, 1))):
+            with pytest.raises(ValueError, match="broadcast"):
+                apply_cost_phases(half, 0.3, circuit)
 
 
 class TestMixerLayer:
     def test_zero_angle_identity(self):
-        half = _initial_half(3)
-        assert np.allclose(apply_mixer_layer(half, 0.0), half)
+        half = start_half(3)
+        assert np.allclose(mixer_layer(half, 0.0), half)
 
     def test_half_pi_is_global_flip(self):
         # R_X(pi) on every qubit is (-i)^n X^n, and X^n fixes a symmetric state
         n = 4
         half = random_half(n, 5)
-        out = apply_mixer_layer(half, math.pi / 2)
+        out = mixer_layer(half, math.pi / 2)
         assert np.allclose(out, (-1j) ** n * half, atol=1e-12)
 
     def test_unitary_on_random_state(self):
         half = random_half(3, 12345)
         half /= np.linalg.norm(mirrored(half))
-        out = apply_mixer_layer(half, 0.37)
+        out = mixer_layer(half, 0.37)
         assert abs(np.linalg.norm(mirrored(out)) - 1.0) < 1e-12
 
     def test_rejects_a_half_that_is_not_a_power_of_two(self):
+        # no circuit has such a half, so it cannot match the circuit it is given
+        circuit = _Circuit(edgeless(3))
         for size in (0, 3, 6):
-            with pytest.raises(ValueError, match="power of two"):
-                apply_mixer_layer(np.ones(size, dtype=complex), 0.3)
+            with pytest.raises(ValueError, match="broadcast"):
+                apply_mixer_layer(np.ones(size, dtype=complex), 0.3, circuit)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 10), wide_angles, st.integers(0, 2**32 - 1))
@@ -246,7 +278,7 @@ class TestMixerLayer:
         half = random_half(n, seed)
         before = half.copy()
         expected = loop_mixer_layer(mirrored(half), beta)
-        out = apply_mixer_layer(half, beta)
+        out = mixer_layer(half, beta)
         assert same_bits(out, expected[: len(half)])
         assert same_bits(mirrored(out), expected)
         assert same_bits(half, before)
@@ -281,7 +313,7 @@ class TestMixerPhysics:
     @boundary_examples(5)
     def test_matches_the_textbook_step(self, n, beta, seed):
         half = random_half(n, seed)
-        assert relative_error(apply_mixer_layer(half, beta), textbook_mixer_layer(half, beta)) <= 1e-12
+        assert relative_error(mixer_layer(half, beta), textbook_mixer_layer(half, beta)) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 2**32 - 1))
@@ -294,7 +326,7 @@ class TestMixerPhysics:
             rotation = np.kron(rotation, np.array([[c, s], [s, c]]))
         half = random_half(n, seed)
         expected = rotation @ mirrored(half)
-        assert relative_error(mirrored(apply_mixer_layer(half, beta)), expected) <= 1e-12
+        assert relative_error(mirrored(mixer_layer(half, beta)), expected) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_nodes=12), st.integers(0, 2**32 - 1))
@@ -310,9 +342,9 @@ class TestMixerPhysics:
         # the scale; by pi/2 the flipped form runs
         half = random_half(qaoa.QUBIT_CAP, 20)
         half /= np.linalg.norm(half) * math.sqrt(2)
-        work = qaoa._Workspace(qaoa.QUBIT_CAP, np.zeros(len(half), dtype=np.intp))
+        circuit = _Circuit(edgeless(qaoa.QUBIT_CAP))
         for _ in range(3):
-            half = apply_mixer_layer(half, beta, work)
+            half = apply_mixer_layer(half, beta, circuit)
             assert abs(np.linalg.norm(half) * math.sqrt(2) - 1.0) <= 1e-12
 
 
@@ -332,7 +364,7 @@ class TestEvolution:
         expected = mirrored(half)
         for gamma, beta in layers:
             expected = loop_mixer_layer(float_cost_phases(expected, table, gamma), beta)
-        ours = _evolve(half, g.cut_table, layers)
+        ours = evolve_from(half, _Circuit(g), layers)
         assert same_bits(mirrored(ours), expected)
         weights = g.cut_table.astype(np.float64)
         assert _expectation_of(ours, weights) == half_expectation(
@@ -346,7 +378,7 @@ class TestEvolution:
         g = data.draw(graphs_on(n))
         table = cut_value_table(g)
         expected = full_evolve(build_initial_state(n), table, layers)
-        ours = _evolve(_initial_half(n), g.cut_table, layers)
+        ours = _evolve(_Circuit(g), layers)
         assert same_bits(mirrored(ours), expected)
         weights = g.cut_table.astype(np.float64)
         assert _expectation_of(ours, weights) == half_expectation(
@@ -355,7 +387,7 @@ class TestEvolution:
 
 
 class TestWorkspace:
-    """One ``qaoa._Workspace`` reused across many calls, against the per-call kernels."""
+    """One ``qaoa._Circuit`` reused across many calls, against the per-call kernels."""
 
     @all_qubits
     @settings(max_examples=20, deadline=None)
@@ -371,26 +403,29 @@ class TestWorkspace:
     )
     def test_matches_per_call_oracle_bit_for_bit(self, n, data, angles, runs, seed):
         g = data.draw(graphs_on(n))
-        work = qaoa._Workspace(n, g.cut_table)
+        circuit = _Circuit(g)
         half = random_half(n, seed)
-        before = half.copy()
-        table, cut_range = work.table, work.cut_range
+        before, start = half.copy(), circuit.start.copy()
+        table, cut_range = circuit.table, circuit.cut_range
         # cost, mixer, mixer, cost, mixer starts a mixer in each buffer for every n
         ours, expected, starts = half, half, set()
         for kind, (gamma, beta) in zip("cmmcm", angles):
             if kind == "c":
-                ours = apply_cost_phases(ours, table, cut_range, gamma, work)
+                ours = apply_cost_phases(ours, gamma, circuit)
                 expected = per_call_cost_phases(expected, table, cut_range, gamma)
             else:
-                starts.add(ours is work.b)
-                ours = apply_mixer_layer(ours, beta, work)
+                starts.add(ours is circuit.b)
+                ours = apply_mixer_layer(ours, beta, circuit)
                 expected = per_call_mixer_layer(expected, beta)
             assert same_bits(ours, expected)
         assert starts == {False, True}
         for layers in runs:
-            ours = _evolve(half, g.cut_table, layers, work)
+            ours = evolve_from(half, circuit, layers)
             assert same_bits(ours, per_call_evolve(half, g.cut_table, layers))
+            ours = _evolve(circuit, layers)
+            assert same_bits(ours, per_call_evolve(start, g.cut_table, layers))
         assert same_bits(half, before)
+        assert same_bits(circuit.start, start)
 
     def test_successive_distributions_do_not_alias(self):
         g = random_graph(9, 0.5, seed=6)
@@ -399,23 +434,6 @@ class TestWorkspace:
         second = output_distribution(g, AnsatzParams(((1.9, 2.6),)))
         assert not np.shares_memory(first, second)
         assert same_bits(first, kept)
-
-    # the same messages as the circuit gave when it checked each run's table
-    def test_float_table_is_refused(self):
-        table = triangle().cut_table.astype(np.float64)
-        with pytest.raises(ValueError, match="integer dtype"):
-            qaoa._Workspace(3, table)
-
-    def test_negative_entry_is_refused(self):
-        table = triangle().cut_table.copy()
-        table[3] = -1
-        with pytest.raises(ValueError, match="negative"):
-            qaoa._Workspace(3, table)
-
-    def test_table_of_another_size_is_refused(self):
-        for table in (k2().cut_table, cut_value_table(triangle())):
-            with pytest.raises(ValueError, match="dimensions differ"):
-                qaoa._Workspace(3, table)
 
 
 class TestKernelCalls:
@@ -562,10 +580,9 @@ def counted(fun):
 
 def leaf_objective(g, p):
     """The negated expected cut that ``optimize_params`` minimizes."""
-    half0, table = _initial_half(g.n), g.cut_table
-    weights = table.astype(np.float64)
+    circuit, weights = _Circuit(g), g.cut_table.astype(np.float64)
     return lambda x: -_expectation_of(
-        _evolve(half0, table, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), weights
+        _evolve(circuit, [(x[2 * i], x[2 * i + 1]) for i in range(p)]), weights
     )
 
 
@@ -803,26 +820,26 @@ class TestWarmStart:
 class TestSampling:
     def test_shot_conservation(self):
         params, _ = optimize_params(triangle(), p=2, seed=5)
-        m = sample_solution_map(triangle(), params, shots=1000, seed=6)
+        m = sample_at(triangle(), params, shots=1000, seed=6)
         assert m.total() == 1000
 
     def test_k2_optimum_concentrates(self):
         params, _ = optimize_params(k2(), p=1, seed=11)
-        m = sample_solution_map(k2(), params, shots=1000, seed=3)
+        m = sample_at(k2(), params, shots=1000, seed=3)
         assert set(m.counts) <= {"01", "10"}
 
     def test_shot_limits(self):
         params = AnsatzParams(((0.7, 0.3),))
-        most = sample_solution_map(triangle(), params, shots=2**63 - 1, seed=6)
+        most = sample_at(triangle(), params, shots=2**63 - 1, seed=6)
         assert most.total() == 2**63 - 1
         for shots in (0, 2**63):
             with pytest.raises(ValueError):
-                sample_solution_map(triangle(), params, shots=shots, seed=6)
+                sample_at(triangle(), params, shots=shots, seed=6)
 
     def test_deterministic(self):
         params, _ = optimize_params(triangle(), p=1, seed=5)
-        a = sample_solution_map(triangle(), params, shots=500, seed=17)
-        b = sample_solution_map(triangle(), params, shots=500, seed=17)
+        a = sample_at(triangle(), params, shots=500, seed=17)
+        b = sample_at(triangle(), params, shots=500, seed=17)
         assert list(a.counts.items()) == list(b.counts.items())
 
     @settings(max_examples=40, deadline=None)
@@ -833,7 +850,7 @@ class TestSampling:
         probs /= probs.sum()
         draws = np.random.default_rng(seed).multinomial(shots, probs)
         counts = {format(int(b), f"0{g.n}b"): int(draws[b]) for b in np.nonzero(draws)[0]}
-        m = sample_solution_map(g, params, shots, seed)
+        m = sample_at(g, params, shots, seed)
         assert m.nodes == g.nodes
         assert m.counts == counts
 
@@ -842,28 +859,17 @@ class TestSampling:
     def test_rows_carry_their_cuts(self, g, seed):
         # drawn indices of both halves, the upper one read off the complement
         params = AnsatzParams(((0.7, 0.3), (1.9, 2.6)))
-        m = sample_solution_map(g, params, 3000, seed)
+        m = sample_at(g, params, 3000, seed)
         assert m.cuts.dtype == np.int64
         assert m.cuts.tolist() == cut_values(g, m.rows).tolist()
 
-    def test_precomputed_distribution_gives_the_same_draw(self):
-        g = random_graph(7, 0.5, seed=3)
-        params = AnsatzParams(((0.7, 0.3), (1.9, 2.6)))
-        probs = output_distribution(g, params)
-        assert probs.shape == (1 << g.n,) and probs.sum() == pytest.approx(1.0)
-        ours = sample_solution_map(g, params, 500, seed=9, probs=probs)
-        fresh = sample_solution_map(g, params, 500, seed=9)
-        assert list(ours.counts.items()) == list(fresh.counts.items())
-        assert ours.cuts.tolist() == fresh.cuts.tolist()
-
     def test_distribution_of_another_shape_is_refused(self):
         g = random_graph(4, 0.6, seed=1)
-        params = AnsatzParams(((0.7, 0.3),))
         # unchecked, length 32 indexes past the cut table and length 8 draws only bit-0 = 0 rows
         for shape in (32, 8, (16, 1)):
             probs = np.full(shape, 1.0 / np.prod(shape))
             with pytest.raises(ValueError, match="shape"):
-                sample_solution_map(g, params, 100, seed=1, probs=probs)
+                sample_solution_map(g, probs, 100, seed=1)
 
     def test_complement_symmetry_of_distribution(self, rng):
         # the symmetry the half-state simulator rests on, shown on full states
@@ -880,7 +886,7 @@ class TestSampling:
     def test_sampling_consistency_with_exact_expectation(self):
         g = random_graph(6, 0.5, seed=21)
         params, value = optimize_params(g, p=2, seed=8)
-        m = sample_solution_map(g, params, shots=100_000, seed=30)
+        m = sample_at(g, params, shots=100_000, seed=30)
         table = cut_value_table(g)
         state = final_state(g, params)
         probs = np.abs(state) ** 2
@@ -899,16 +905,19 @@ class TestLeafCutTable:
             built.append(graph)
             return cut_values(graph, rows)
 
-        def recorded_evolve(half, table, layers, work=None, evolve=qaoa._evolve):
-            seen.append(table)
-            return evolve(half, table, layers, work)
+        def recorded_evolve(circuit, layers, evolve=qaoa._evolve):
+            seen.append(circuit)
+            return evolve(circuit, layers)
 
         monkeypatch.setattr(dcgraphs, "cut_values", counted_cut_values)
         monkeypatch.setattr(qaoa, "_evolve", recorded_evolve)
         params, _ = optimize_params(g, p=2, seed=1, budget=10, restarts=2)
-        sample_solution_map(g, params, shots=100, seed=2)
+        sample_at(g, params, shots=100, seed=2)
         assert built == [g]
-        assert len(seen) > 2 and all(table is g.cut_table for table in seen)
+        # one circuit for the optimizer's runs and one for the distribution
+        circuits = list({id(circuit): circuit for circuit in seen}.values())
+        assert len(seen) > 2 and circuits == [seen[0], seen[-1]]
+        assert all(np.array_equal(circuit.table, g.cut_table) for circuit in circuits)
 
     def test_leaf_over_the_qubit_cap_fails_before_any_table(self):
         g = path_graph(21)
@@ -916,7 +925,7 @@ class TestLeafCutTable:
         with pytest.raises(SizeLimitError, match="simulator cap of 20"):
             optimize_params(g, p=1, seed=1)
         with pytest.raises(SizeLimitError, match="simulator cap of 20"):
-            sample_solution_map(g, params, shots=10, seed=1)
+            output_distribution(g, params)
         assert "cut_table" not in vars(g)
 
 
@@ -934,9 +943,9 @@ class TestAgainstFullStateRun:
     def test_sampling_matches_bit_for_bit(self, n, data, layers, seed, shots):
         g = data.draw(graphs_on(n))
         params = AnsatzParams(tuple(layers))
-        ours = sample_solution_map(g, params, shots, seed)
+        ours = sample_at(g, params, shots, seed)
         with full_state_qaoa():
-            expected = sample_solution_map(g, params, shots, seed)
+            expected = sample_at(g, params, shots, seed)
         assert np.array_equal(ours.rows, expected.rows)
         assert ours.row_counts == expected.row_counts
 
@@ -963,9 +972,9 @@ class TestAgainstFullStateRun:
         final = full_evolve(build_initial_state(g.n), table, params.layers)
         assert ours[1] == half_expectation(final[: len(g.cut_table)], g.cut_table)
         assert ours[1] == pytest.approx(full_expectation(final, table), rel=1e-12, abs=1e-12)
-        ours = sample_solution_map(g, params, shots=5000, seed=4)
+        ours = sample_at(g, params, shots=5000, seed=4)
         with full_state_qaoa():
-            expected = sample_solution_map(g, params, shots=5000, seed=4)
+            expected = sample_at(g, params, shots=5000, seed=4)
         assert np.array_equal(ours.rows, expected.rows)
         assert ours.row_counts == expected.row_counts
 

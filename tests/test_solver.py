@@ -12,6 +12,7 @@ from dcqaoa import (
     ConnectivityExceededError,
     DcConfig,
     Graph,
+    SizeLimitError,
     SolutionMap,
     abridge,
     best_sampled_cut,
@@ -44,6 +45,7 @@ from conftest import (
     forests,
     graphs,
     isomorphic,
+    path_graph,
     relabel,
     scored_rerank_by_cut,
     toy_graph,
@@ -145,6 +147,14 @@ class TestDcQaoa:
         direct = qaoa_maxcut(g, cfg.p, shots=cfg.s, seed=seed, budget=cfg.budget, restarts=cfg.restarts)
         expected = rescale(abridge(rerank_by_cut(g, direct), cfg.t), cfg.s)
         assert via_dc.counts == expected.counts
+
+    def test_leaf_over_the_qubit_cap_fails_before_any_table(self):
+        # k above the simulator cap: the leaf is refused by its qubit count,
+        # not by the cut table's own, larger limit after building it
+        g = path_graph(21)
+        with pytest.raises(SizeLimitError, match="simulator cap of 20"):
+            dc_qaoa(g, DcConfig(k=21))
+        assert "cut_table" not in vars(g)
 
     def test_toy_graph_finds_optimum(self):
         cfg = DcConfig(k=4, seed=7, budget=60, restarts=2)
@@ -308,19 +318,26 @@ class TestAngleCache:
     )
     def test_optimizer_runs_once_per_leaf_class(self, monkeypatch, g, k):
         leaves = recorded_leaves(monkeypatch)
-        optimized, sampled = [], []
-        real_optimize, real_sample = qaoa.optimize_params, qaoa.sample_solution_map
+        optimized, distributions, sampled = [], [], []
+        real_optimize, real_distribution = qaoa.optimize_params, qaoa.output_distribution
+        real_sample = qaoa.sample_solution_map
 
         def counting_optimize(g, *args, **kwargs):
             result = real_optimize(g, *args, **kwargs)
             optimized.append((g, result[0]))
             return result
 
-        def counting_sample(g, params, *args, **kwargs):
-            sampled.append((g, params))
-            return real_sample(g, params, *args, **kwargs)
+        def recording_distribution(g, params):
+            distributions.append((real_distribution(g, params), params))
+            return distributions[-1][0]
+
+        def counting_sample(g, probs, *args, **kwargs):
+            # the angles of the distribution the leaf draws from
+            sampled.append((g, next(params for d, params in distributions if d is probs)))
+            return real_sample(g, probs, *args, **kwargs)
 
         monkeypatch.setattr(qaoa, "optimize_params", counting_optimize)
+        monkeypatch.setattr(qaoa, "output_distribution", recording_distribution)
         monkeypatch.setattr(qaoa, "sample_solution_map", counting_sample)
         cfg = DcConfig(k=k, s=1000, t=20, seed=6, budget=60, restarts=2)
         _, tree = dc_qaoa_traced(g, cfg)
@@ -475,11 +492,11 @@ class TestSharedLeafWork:
             computed.append((g, real_distribution(g, params)))
             return computed[-1][1]
 
-        def recording_sample(g, *args, probs, **kwargs):
+        def recording_sample(g, probs, *args, **kwargs):
             # each draw reads the distribution computed last, on that graph
             assert g is computed[-1][0] and probs is computed[-1][1]
             sampled.append(g)
-            return real_sample(g, *args, probs=probs, **kwargs)
+            return real_sample(g, probs, *args, **kwargs)
 
         monkeypatch.setattr(qaoa, "output_distribution", recording_distribution)
         monkeypatch.setattr(qaoa, "sample_solution_map", recording_sample)
