@@ -1,7 +1,6 @@
 """Divide-and-conquer QAOA MaxCut solver with classical baselines."""
 
-# numpy imports these lazily (np.unique loads numpy.ma): load them now, not in the first solve
-import numpy.ma  # noqa: F401
+# numpy imports this lazily: load it now, not in the first solve
 import numpy.random  # noqa: F401
 
 from .baselines import greedy_local_search, random_search

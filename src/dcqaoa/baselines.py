@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, column_cuts, cut_values
+from .graphs import Graph, column_cuts, cut_values, row_strings
 from .seeds import derive_seed
 
 # random_search rows per block; a multiple of 64, so each node's coins in a
@@ -53,9 +53,8 @@ def random_search(g: Graph, budget: int, seed: int) -> BaselineResult:
         best = int(np.argmax(cuts))
         if cuts[best] > best_cut:
             best_cut, best_bits = int(cuts[best]), (columns[:, best >> 3] >> (best & 7)) & 1
-    assignment = "".join("1" if b else "0" for b in best_bits)
     return BaselineResult(
-        best_assignment=assignment,
+        best_assignment=row_strings(best_bits[None])[0],
         best_cut=best_cut,
         evaluations=budget,
         elapsed=time.perf_counter() - start,
@@ -101,9 +100,8 @@ def greedy_local_search(g: Graph, seed: int, restarts: int = 10) -> BaselineResu
             best_cut = cut
             best_bits = bits.copy()
     assert best_bits is not None
-    assignment = "".join("1" if b else "0" for b in best_bits)
     return BaselineResult(
-        best_assignment=assignment,
+        best_assignment=row_strings(best_bits.view(np.uint8)[None])[0],
         best_cut=best_cut,
         evaluations=evaluations,
         elapsed=time.perf_counter() - start,

@@ -222,45 +222,20 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--repeats must be >= 1")
     base = _config_from(args)
 
-    specs = [(value, rep) for value in values for rep in range(args.repeats)]
-
-    def run_row(spec):
+    def fill(spec, row):
         value, rep = spec
         seed = derive_seed(args.seed, "sweep", args.axis, value, rep)
-        row = {
-            "axis": args.axis,
-            "value": value,
-            "repeat": rep,
-            "seed": seed,
-            "error": "",
-        }
-        try:
-            cfg = replace(base, **{args.axis: value, "seed": seed})
-            started = time.perf_counter()
-            solution, tree = dc_qaoa_traced(g, cfg)
-            elapsed = time.perf_counter() - started
-            row.update(
-                nrl=tree_nrl(g, tree),
-                expectation_value=expectation_value(g, solution),
-                best_cut=best_sampled_cut(g, solution),
-                runtime_seconds=None if args.stable_output else elapsed,
-            )
-        except (DcqaoaError, ValueError) as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+        row.update(axis=args.axis, value=value, repeat=rep, seed=seed)
+        cfg = replace(base, **{args.axis: value, "seed": seed})
+        tree = _scored_solve(g, cfg, row, "", args.stable_output)
+        row["nrl"] = tree_nrl(g, tree)
 
-    rows = [run_row(spec) for spec in specs]
-
-    reference_cut, reference_kind = reference_optimum(
-        g, [r["best_cut"] for r in rows if not r["error"]], args.seed
-    )
+    specs = [(value, rep) for value in values for rep in range(args.repeats)]
+    rows = _run_rows(fill, specs)
+    reference = reference_optimum(g, [r["best_cut"] for r in rows if not r["error"]], args.seed)
     for row in rows:
-        if row["error"]:
-            continue
-        row["reference_cut"] = reference_cut
-        row["reference_kind"] = reference_kind
-        row["ar_expectation"] = approximation_ratio(row["expectation_value"], reference_cut)
-        row["ar_best_sampled"] = approximation_ratio(row["best_cut"], reference_cut)
+        if not row["error"]:
+            _score(row, "", reference)
 
     _emit(_render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows), args.out)
     return 0
@@ -274,60 +249,75 @@ def _cmd_compare(args) -> int:
         raise ValueError("compare needs at least one graph (or --suite DIR)")
     base = _config_from(args)
 
-    def run_graph(spec):
+    def fill(spec, row):
         index, path = spec
-        row = {"graph": path, "error": ""}
-        try:
-            g = load_graph(path)
-            row["nodes"] = g.n
-            row["edges"] = g.m
-            cfg = replace(base, seed=derive_seed(args.seed, "compare", index))
-            started = time.perf_counter()
-            solution, tree = dc_qaoa_traced(g, cfg)
-            dc_elapsed = time.perf_counter() - started
-            dc_cut = best_sampled_cut(g, solution)
-            rs_budget = cfg.s * tree.count()
-            rs = random_search(g, rs_budget, seed=derive_seed(args.seed, "rs", index))
-            ls = greedy_local_search(g, seed=derive_seed(args.seed, "ls", index))
-            reference_cut, reference_kind = reference_optimum(
-                g, [dc_cut, rs.best_cut, ls.best_cut], cfg.seed
-            )
-            dc_expectation = expectation_value(g, solution)
-            row.update(
-                reference_cut=reference_cut,
-                reference_kind=reference_kind,
-                dc_best_cut=dc_cut,
-                dc_expectation_value=dc_expectation,
-                dc_ar_expectation=approximation_ratio(dc_expectation, reference_cut),
-                dc_ar_best_sampled=approximation_ratio(dc_cut, reference_cut),
-                dc_runtime_seconds=None if args.stable_output else dc_elapsed,
-                rs_budget=rs_budget,
-                rs_best_cut=rs.best_cut,
-                rs_ar_best_sampled=approximation_ratio(rs.best_cut, reference_cut),
-                rs_runtime_seconds=None if args.stable_output else rs.elapsed,
-                ls_best_cut=ls.best_cut,
-            )
-        except (DcqaoaError, ValueError, OSError) as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+        row["graph"] = path
+        g = load_graph(path)
+        row.update(nodes=g.n, edges=g.m)
+        cfg = replace(base, seed=derive_seed(args.seed, "compare", index))
+        tree = _scored_solve(g, cfg, row, "dc_", args.stable_output)
+        rs_budget = cfg.s * tree.count()
+        rs = random_search(g, rs_budget, seed=derive_seed(args.seed, "rs", index))
+        ls = greedy_local_search(g, seed=derive_seed(args.seed, "ls", index))
+        reference = reference_optimum(g, [row["dc_best_cut"], rs.best_cut, ls.best_cut], cfg.seed)
+        _score(row, "dc_", reference)
+        row.update(
+            rs_budget=rs_budget,
+            rs_best_cut=rs.best_cut,
+            rs_ar_best_sampled=approximation_ratio(rs.best_cut, reference[0]),
+            rs_runtime_seconds=None if args.stable_output else rs.elapsed,
+            ls_best_cut=ls.best_cut,
+        )
 
-    # one worker runs rows in order; it stays because perfbench spans rows by patching it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rows = list(pool.map(run_graph, enumerate(paths)))
-
+    rows = _run_rows(fill, enumerate(paths))
     good = [r for r in rows if not r["error"]]
     if good:
-        summary = {
-            "graph": "__mean__",
-            "dc_ar_best_sampled": sum(r["dc_ar_best_sampled"] for r in good) / len(good),
-            "rs_ar_best_sampled": sum(r["rs_ar_best_sampled"] for r in good) / len(good),
-            "dc_ar_expectation": sum(r["dc_ar_expectation"] for r in good) / len(good),
-            "error": "",
-        }
+        summary = {"graph": "__mean__", "error": ""}
+        for column in ("dc_ar_best_sampled", "rs_ar_best_sampled", "dc_ar_expectation"):
+            summary[column] = sum(r[column] for r in good) / len(good)
         rows.append(summary)
 
     _emit(_render_csv(COMPARE_SCHEMA, COMPARE_COLUMNS, rows), args.out)
     return 0
+
+
+def _run_rows(fill, specs) -> list[dict]:
+    """One row per spec, in order; fill(spec, row) writes the row's cells.
+
+    A row whose fill raises a package, value or file error keeps the cells
+    written before it and names the error. One worker runs the rows in
+    order; it stays because perfbench spans rows by patching it.
+    """
+
+    def run(spec):
+        row = {"error": ""}
+        try:
+            fill(spec, row)
+        except (DcqaoaError, ValueError, OSError) as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return list(pool.map(run, specs))
+
+
+def _scored_solve(g, cfg: DcConfig, row: dict, prefix: str, stable: bool):
+    """Solve g, write the solution's best cut, expectation value and solve
+    time (None when `stable`) under the column prefix, and return the tree."""
+    started = time.perf_counter()
+    solution, tree = dc_qaoa_traced(g, cfg)
+    elapsed = time.perf_counter() - started
+    row[prefix + "best_cut"] = best_sampled_cut(g, solution)
+    row[prefix + "expectation_value"] = expectation_value(g, solution)
+    row[prefix + "runtime_seconds"] = None if stable else elapsed
+    return tree
+
+
+def _score(row: dict, prefix: str, reference: tuple[int, str]) -> None:
+    """Write the reference optimum and the scored solve's two approximation ratios."""
+    row["reference_cut"], row["reference_kind"] = reference
+    for ratio, value in (("ar_expectation", "expectation_value"), ("ar_best_sampled", "best_cut")):
+        row[prefix + ratio] = approximation_ratio(row[prefix + value], reference[0])
 
 
 def _suite_paths(directory: str, seed: int) -> list[str]:

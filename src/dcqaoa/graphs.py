@@ -8,8 +8,8 @@ Conventions used everywhere in this package:
   it is a 0/1 ``uint8`` row; as text it is a string over ``{0,1}``.
 * A ``SolutionMap`` pairs assignments with non-negative sample counts and
   remembers which node set the assignment positions index. It holds its
-  assignments as 0/1 rows; strings appear only in the dict constructor,
-  ``counts`` and ``to_dict``.
+  assignments as 0/1 rows. Text becomes rows only in its dict constructor,
+  and rows become text only through ``row_strings``.
 """
 
 from __future__ import annotations
@@ -210,21 +210,15 @@ class SolutionMap:
         if list(nodes) != sorted(set(nodes)):
             raise ValueError("node set must be strictly increasing")
         counts = dict(counts or {})
-        keys = list(counts)
-        values = list(counts.values())
         width = len(nodes)
-        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-        valid = bool((lengths == width).all()) and "".join(keys).isascii()
-        if valid:
-            rows = key_rows(keys).reshape(len(keys), width) - np.uint8(ord("0"))
-            valid = not (rows > 1).any()
-        if not valid:
-            key = next(k for k in keys if len(k) != width or set(k) - {"0", "1"})
-            raise ValueError(f"bad assignment {key!r} for {width} nodes")
         for key, cnt in counts.items():
+            if len(key) != width or key.strip("01"):
+                raise ValueError(f"bad assignment {key!r} for {width} nodes")
             if not isinstance(cnt, int) or cnt < 0:
                 raise ValueError(f"count for {key!r} must be a non-negative integer")
-        self._init(nodes, rows, values, None)
+        text = np.frombuffer("".join(counts).encode("ascii"), dtype=np.uint8)
+        rows = text.reshape(len(counts), width) - np.uint8(ord("0"))
+        self._init(nodes, rows, list(counts.values()), None)
         self._counts = counts
 
     @classmethod
@@ -305,11 +299,6 @@ class SolutionMap:
 
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "counts": dict(self.counts)}
-
-
-def complement(assignment: str) -> str:
-    """Flip every bit of a cut assignment."""
-    return assignment.translate(str.maketrans("01", "10"))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -528,15 +517,9 @@ def column_cuts(g: Graph, columns: np.ndarray, r: int) -> np.ndarray:
     return cuts
 
 
-def key_rows(keys: Iterable[str]) -> np.ndarray:
-    """(r, n) rows of the ASCII bytes of r assignment strings of length n."""
-    keys = list(keys)
-    raw = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-    return raw.reshape(len(keys), len(keys[0]) if keys else 0)
-
-
 def row_strings(rows: np.ndarray) -> list[str]:
-    """Assignment strings of (r, n) 0/1 rows; the inverse of key_rows minus '0'."""
+    """Assignment strings of (r, n) 0/1 ``uint8`` rows: the one way rows become
+    text. Text becomes rows only in the ``SolutionMap`` dict constructor."""
     r, n = rows.shape
     if n == 0:
         return [""] * r
@@ -561,13 +544,13 @@ def index_rows(indices: np.ndarray, n: int) -> np.ndarray:
 def brute_force_maxcut(g: Graph) -> tuple[int, set[str]]:
     """Exhaustive MaxCut: (max cut, all optimal assignments incl. complements).
 
-    Reads the half space ``g.cut_table`` and mirrors the winners, so both
-    orientations are reported.
+    Reads the half space ``g.cut_table``; the winners' rows and their flipped
+    rows become strings through ``row_strings``, so both orientations are
+    reported.
     """
     best = int(g.cut_table.max())
-    winners = {format(int(b), f"0{g.n}b") for b in np.flatnonzero(g.cut_table == best)}
-    winners |= {complement(w) for w in winners}
-    return best, winners
+    rows = index_rows(np.flatnonzero(g.cut_table == best), g.n)
+    return best, set(row_strings(rows)) | set(row_strings(1 - rows))
 
 
 def components_excluding(g: Graph, removed: frozenset[int] | set[int]) -> list[set[int]]:

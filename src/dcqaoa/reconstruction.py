@@ -71,7 +71,8 @@ def combine(
     nodes1 = np.array(g1.nodes, dtype=np.int64)
     nodes2 = np.array(g2.nodes, dtype=np.int64)
     _, at1, at2 = np.intersect1d(nodes1, nodes2, assume_unique=True, return_indices=True)
-    union_nodes = np.union1d(nodes1, nodes2)
+    # with return_index np.unique sorts; its hash path would load numpy.ma
+    union_nodes = np.unique(np.concatenate((nodes1, nodes2)), return_index=True)[0]
     columns2 = np.searchsorted(union_nodes, nodes2)
 
     # pairs (i1, i2) in m1 entry order, then m2 entry order

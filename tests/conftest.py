@@ -280,6 +280,11 @@ def naive_cut_size(g: Graph, assignment: str) -> int:
     return sum(1 for u, v in g.edges if assignment[idx[u]] != assignment[idx[v]])
 
 
+def complement(assignment: str) -> str:
+    """Flip every bit of a cut assignment string."""
+    return assignment.translate(str.maketrans("01", "10"))
+
+
 def string_combine(g1: Graph, g2: Graph, m1: SolutionMap, m2: SolutionMap, scheme: str):
     """Signature-dict join over assignment strings: the oracle for
     reconstruction.combine. Returns (union nodes, {merged string: count})."""

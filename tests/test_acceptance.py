@@ -7,10 +7,12 @@ pytest capture) before asserting, so a full run always shows the scorecard:
 """
 
 import csv
+import importlib.util
 import itertools
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +272,43 @@ def test_criterion_5_sensitivity_trends(capsys):
         "5 sensitivity trends (NRL vs k, AR vs s)",
         ok,
         f"spearman(k, NRL)={rho_k:.2f} over means {[round(v, 3) for v in nrl_means]}; "
+        f"spearman(s, AR)={rho_s:.2f} over means {[round(v, 4) for v in ar_means]}",
+    )
+    assert ok
+
+
+def _perfbench_leafwide():
+    """perfbench/leafwide.py, the leaf-wide workload's graph generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "leafwide.py"
+    spec = importlib.util.spec_from_file_location("leafwide", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_5_expectation_ar_against_s_below_saturation(capsys):
+    # criterion 5's chain reaches AR 1.0 at every s; four dense 14-node
+    # blocks, each one leaf at the qubit budget, keep the expectation AR
+    # below 1, so a trend that is flat or falls with s fails here
+    leafwide_graph = _perfbench_leafwide().leafwide_graph
+    graphs = [(seed, leafwide_graph(seed, blocks=4)) for seed in range(1, 6)]
+    exact = {seed: chain_maxcut(g) for seed, g in graphs}
+
+    s_values = [250, 500, 1000, 2000]
+    ar_means = []
+    for s in s_values:
+        values = []
+        for seed, g in graphs:
+            cfg = DcConfig(k=14, s=s, seed=seed, budget=60, restarts=2)
+            values.append(expectation_value(g, dc_qaoa(g, cfg)) / exact[seed])
+        ar_means.append(sum(values) / len(values))
+    rho_s = _spearman(s_values, ar_means)
+
+    ok = rho_s > 0
+    report(
+        capsys,
+        "5 expectation AR vs s on leaf-wide graphs",
+        ok,
         f"spearman(s, AR)={rho_s:.2f} over means {[round(v, 4) for v in ar_means]}",
     )
     assert ok

@@ -239,6 +239,25 @@ class TestCompare:
         assert cells["dc_ar_best_sampled"] == "1.0"
         assert cells["rs_ar_best_sampled"] == "1.0"
 
+    def test_unreadable_graphs_are_tagged_rows(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.edges")
+        malformed = tmp_path / "malformed.edges"
+        malformed.write_text("0 1\n0 x\n")
+        toy = write_toy(tmp_path)
+        assert main(["compare", missing, str(malformed), toy, "--k", "4", *FAST]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [r["graph"] for r in rows] == [missing, str(malformed), toy, "__mean__"]
+        bad = [{k: v for k, v in r.items() if v} for r in rows[:2]]
+        assert bad[0] == {"graph": missing, "error": bad[0]["error"]}
+        assert bad[0]["error"].startswith("FileNotFoundError: ")
+        assert bad[1] == {"graph": str(malformed), "error": bad[1]["error"]}
+        assert bad[1]["error"].startswith("EdgeListParseError: ")
+        good, mean = rows[2], rows[3]
+        assert not good["error"]
+        for column in ("dc_ar_best_sampled", "rs_ar_best_sampled", "dc_ar_expectation"):
+            assert mean[column] == good[column]
+
     def test_empty_usage_error(self):
         assert main(["compare"]) == 1
 

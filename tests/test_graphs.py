@@ -26,7 +26,6 @@ from dcqaoa import (
 )
 from dcqaoa.graphs import (
     _biconnected_blocks,
-    complement,
     components_excluding,
     column_cuts,
     cut_values,
@@ -47,6 +46,7 @@ from conftest import (
     block_set,
     brute_force_form,
     chains,
+    complement,
     complete_graph,
     cut_value_table,
     cycle_graph,

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import dcqaoa
+from dcqaoa import Graph, random_chain_graph, save_graph
 from conftest import run_fresh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -82,3 +83,20 @@ dc_qaoa_traced(chain, DcConfig(k=4, budget=10, restarts=1))
 print(sorted(set(sys.modules) - loaded))
 """
     assert run_fresh(code) == "[]"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # at t = 1 the chain's merges pair rows that disagree on the separator
+    chain, toy, out = (str(tmp_path / name) for name in ("chain.edges", "toy.edges", "out"))
+    save_graph(random_chain_graph(100, seed=1), chain)
+    save_graph(Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]), toy)
+    code = f"""
+import sys
+from dcqaoa.cli import main
+fast = ["--budget", "10", "--restarts", "1", "--stable-output", "--out", {out!r}]
+assert main(["solve", {chain!r}, "--t", "1", *fast]) == 0
+assert main(["sweep", {toy!r}, "--axis", "s", "--values", "100,200", "--k", "4", *fast]) == 0
+assert main(["compare", {toy!r}, {chain!r}, "--k", "4", *fast]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert run_fresh(code) == "False"
